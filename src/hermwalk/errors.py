@@ -76,6 +76,10 @@ class WeightsInvalid(HermwalkError):
     pass
 
 
+class AlignmentBoundViolated(HermwalkError):
+    pass
+
+
 # transfer
 class InvalidTarget(HermwalkError):
     pass

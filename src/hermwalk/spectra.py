@@ -13,7 +13,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonRealEigenvalue, NotHermitianCirculant, TraceNotZero, WeightsInvalid
+from .errors import (
+    AlignmentBoundViolated,
+    NonRealEigenvalue,
+    NotHermitianCirculant,
+    TraceNotZero,
+    WeightsInvalid,
+)
 from .linalg import SpectralDecomposition
 
 _HERMITIAN_TOL = 1e-12
@@ -140,5 +146,8 @@ def phase_alignment(coefficients, tol: float) -> tuple[bool, float]:
         gap = alphas[:, None] - alphas[None, :]
         iu = np.triu_indices(len(betas), k=1)
         defect = float(np.sum(np.outer(betas, betas)[iu] * (1.0 - np.cos(gap[iu]))))
-        assert defect <= tol + 1e-15, "cosine defect exceeds tol despite alignment"
+        if defect > tol + 1e-15:
+            raise AlignmentBoundViolated(
+                f"cosine defect {defect:.3g} exceeds tol {tol:.3g} despite alignment"
+            )
     return aligned, spread

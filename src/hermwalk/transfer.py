@@ -4,6 +4,19 @@ Fidelity |<b| exp(-itA) |a>| is evaluated spectrally.  The searches walk a
 uniform time grid whose step is safe against the Lipschitz bound
 |dF/dt| <= max|lambda|, then polish promising grid points with
 golden-section refinement, returning the earliest qualifying time.
+
+Every grid is evaluated by one factorized phase kernel.  Grid index k is
+written k = k0 + r with 0 <= r < _ROW, so that
+exp(-i k h lambda) = exp(-i k0 h lambda) exp(-i r h lambda): the phases at
+the row starts k0 are computed directly (no recurrence, so no accumulated
+rounding), the inner phases times the coefficients are built once per search
+(with shorter rows if that table would pass _CHUNK_BYTES), and a block of
+amplitudes is one complex matrix product.  A grid point costs
+d/_ROW complex exponentials plus one row of that product instead of d
+exponentials.  The grid is streamed in chunks that start at _FIRST_CHUNK
+points and double up to _CHUNK_BYTES of temporaries, so a search that finds
+an early answer stops early: its cost follows the answer time, not t_max,
+and its memory does not grow with t_max or n.
 """
 
 from __future__ import annotations
@@ -18,7 +31,9 @@ from .errors import IndexOutOfRange, InvalidTarget
 from .linalg import SpectralDecomposition, evolution_operator, nearest_monomial
 from .swaut import MonomialMatrix
 
-_CHUNK = 1 << 18
+_ROW = 64  # grid points per directly computed row-start phase
+_FIRST_CHUNK = 1 << 10  # grid points in a search's first chunk
+_CHUNK_BYTES = 4 << 20  # cap on a chunk's largest temporary
 _GRID_CAP = 200_000_000
 _REFINE_STEPS = 200
 _TWO_PI = 2.0 * math.pi
@@ -85,6 +100,48 @@ def _pair_coefficients(sd: SpectralDecomposition, a: int, b: int) -> np.ndarray:
     return sd.eigenvectors[b, :] * np.conj(sd.eigenvectors[a, :])
 
 
+def _grid_chunks(count: int, point_bytes: int):
+    """Yield (start, stop) index ranges covering range(count) in order.
+
+    The first chunk holds _FIRST_CHUNK points and each next one twice as
+    many, up to the number of points whose temporaries (point_bytes each)
+    fit in _CHUNK_BYTES; chunk sizes stay multiples of _ROW.
+    """
+    cap = max(_ROW, _CHUNK_BYTES // point_bytes // _ROW * _ROW)
+    size = min(_FIRST_CHUNK, cap)
+    start = 0
+    while start < count:
+        stop = min(start + size, count)
+        yield start, stop
+        start = stop
+        size = min(2 * size, cap)
+
+
+def _phase_kernel(lam: np.ndarray, coeffs: np.ndarray, step: float):
+    """Grid amplitudes |exp(-i k step lam) @ coeffs| by the factorized kernel.
+
+    coeffs has shape (d,) or (d, m).  Returns (amplitudes, point_bytes):
+    amplitudes(start, stop) is the (stop - start,) or (stop - start, m) array
+    for grid indices k in [start, stop), and point_bytes the temporary memory
+    per grid point.  Rows are _ROW points long unless the per-search table
+    (d x row*m complex values) would exceed _CHUNK_BYTES.
+    """
+    d = len(lam)
+    columns = coeffs.shape[1:]
+    m = math.prod(columns)
+    row = max(1, min(_ROW, _CHUNK_BYTES // (16 * d * m)))
+    inner = np.exp(-1j * step * np.outer(lam, np.arange(row)))
+    p_in = (inner[:, :, None] * coeffs.reshape(d, 1, m)).reshape(d, row * m)
+
+    def amplitudes(start: int, stop: int) -> np.ndarray:
+        rows = -(-(stop - start) // row)
+        row_starts = (start + row * np.arange(rows)) * step
+        p_out = np.exp(-1j * np.outer(row_starts, lam))
+        return np.abs(p_out @ p_in).reshape((rows * row, *columns))[: stop - start]
+
+    return amplitudes, 16 * max(m, -(-d // row))
+
+
 def fidelity(sd: SpectralDecomposition, a: int, b: int, t: float) -> float:
     """|<b| exp(-itA) |a>| from the spectral decomposition of A."""
     a = _check_vertex(sd, a)
@@ -106,12 +163,11 @@ def fidelity_scan(sd: SpectralDecomposition, a: int, b: int, t_max: float, sampl
     b = _check_vertex(sd, b)
     coeffs = _pair_coefficients(sd, a, b)
     ts = np.linspace(0.0, t_max, samples)
+    amplitudes, point_bytes = _phase_kernel(sd.eigenvalues, coeffs, t_max / (samples - 1))
     out = np.empty((samples, 2))
     out[:, 0] = ts
-    for start in range(0, samples, _CHUNK):
-        stop = min(start + _CHUNK, samples)
-        block = np.exp(-1j * np.outer(ts[start:stop], sd.eigenvalues)) @ coeffs
-        out[start:stop, 1] = np.abs(block)
+    for start, stop in _grid_chunks(samples, point_bytes):
+        out[start:stop, 1] = amplitudes(start, stop)
     return out
 
 
@@ -178,11 +234,14 @@ def _golden_max(f, lo: float, hi: float, steps: int = _REFINE_STEPS) -> tuple[fl
     return best
 
 
-def _grid_candidate_search(values_fn, t_max: float, step: float, threshold: float, refine_fn):
+def _grid_candidate_search(
+    values_fn, point_bytes: int, t_max: float, step: float, threshold: float, refine_fn
+):
     """Stream a uniform grid, refine local maxima above threshold in time
     order, and return the first refinement accepted by refine_fn.
 
-    values_fn(ts) evaluates the objective on a block of times.
+    values_fn(start, stop) evaluates the objective at grid indices
+    [start, stop), each point taking point_bytes of temporaries.
     refine_fn(t_center) -> result or None; a non-None result stops the scan.
     Also returns the best (t, value) seen anywhere for the not-found case.
     """
@@ -190,27 +249,24 @@ def _grid_candidate_search(values_fn, t_max: float, step: float, threshold: floa
     if count > _GRID_CAP:
         raise ValueError("time grid too large; shrink the horizon or raise the step")
     best_t, best_v = 0.0, -math.inf
-    prev_tail = None  # (value at last index of previous block)
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        # one-point lookahead so block-boundary maxima are classified correctly
-        idx = np.arange(start, min(stop + 1, count))
-        ts = idx * step
-        vals = values_fn(ts)
+    prev_tail = -math.inf  # value at the last index of the previous chunk
+    for start, stop in _grid_chunks(count, point_bytes):
+        # one-point lookahead so chunk-boundary maxima are classified correctly
+        vals = values_fn(start, min(stop + 1, count))
         block = vals[: stop - start]
         i = int(np.argmax(block))
         if block[i] > best_v:
             best_v = float(block[i])
-            best_t = float(ts[i])
+            best_t = (start + i) * step
         left = np.empty_like(block)
-        left[0] = prev_tail if prev_tail is not None else -math.inf
+        left[0] = prev_tail
         left[1:] = block[:-1]
         right = np.empty_like(block)
         right[-1] = vals[stop - start] if stop < count else -math.inf
         right[:-1] = block[1:]
         is_peak = (block >= left) & (block >= right) & (block >= threshold)
         for j in np.flatnonzero(is_peak):
-            result = refine_fn(float(ts[j]))
+            result = refine_fn(float((start + j) * step))
             if result is not None:
                 return result, (best_t, best_v)
         prev_tail = float(block[-1])
@@ -226,7 +282,12 @@ def pgst_search(
     The grid step min(0.01, 0.1/max|lambda|) cannot jump over a qualifying
     peak because the fidelity is Lipschitz with constant max|lambda|; grid
     local maxima within that safety margin of the target are polished with
-    golden-section refinement, earliest first.
+    golden-section refinement, earliest first.  The grid is evaluated by the
+    factorized phase kernel in chunks that grow from _FIRST_CHUNK points to
+    _CHUNK_BYTES of temporaries, and the scan stops at the first accepted
+    refinement, so the cost follows the answer time rather than t_max.  When
+    nothing qualifies, the best grid point, polished, is reported as
+    NOT_FOUND.
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target_fidelity must lie in (0, 1)")
@@ -248,8 +309,7 @@ def pgst_search(
 
     step = min(0.01, 0.1 / rho)
 
-    def block(ts: np.ndarray) -> np.ndarray:
-        return np.abs(np.exp(-1j * np.outer(ts, lam)) @ coeffs)
+    amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
 
     def refine(t_center: float):
         lo = max(0.0, t_center - step)
@@ -260,7 +320,7 @@ def pgst_search(
         return None
 
     hit, (grid_t, grid_f) = _grid_candidate_search(
-        block, t_max, step, target_fidelity - rho * step, refine
+        amplitudes, point_bytes, t_max, step, target_fidelity - rho * step, refine
     )
     if hit is not None:
         t_best, f_best = hit
@@ -301,8 +361,7 @@ def kronecker_time_search(target: KroneckerTarget) -> KroneckerSolution | None:
     count = int(math.floor((target.t_max - target.t_min) / step)) + 1
     if count > _GRID_CAP:
         raise ValueError("time grid too large; shrink the horizon or raise epsilon")
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
+    for start, stop in _grid_chunks(count, 8 * len(freqs)):
         ts = target.t_min + np.arange(start, stop) * step
         r = np.mod(np.outer(ts, freqs) - phases, _TWO_PI)
         dist = np.minimum(r, _TWO_PI - r)
@@ -323,9 +382,10 @@ def periodicity_search(
 
     Because U(t) -> I continuously, every graph sits inside the identity
     neighborhood for a short initial interval; the search first waits for
-    the walk to leave that neighborhood and then looks for the first
-    re-entry peak.  If the walk never leaves (adjacency a multiple of the
-    identity), the first grid time above tol is returned.
+    the walk to leave that neighborhood and then refines, earliest first,
+    the grid local maxima within max|lambda| * step of the level.  If the
+    walk never leaves (adjacency a multiple of the identity), the first grid
+    time above tol is returned.
     """
     if not t_max > 0:
         raise ValueError("t_max must be positive")
@@ -337,31 +397,35 @@ def periodicity_search(
         return float(np.min(np.abs(weights @ np.exp(-1j * t * lam))))
 
     step = min(0.01, 0.1 / rho) if rho > 0 else 0.01
-    count = int(math.floor(t_max / step)) + 1
-    if count > _GRID_CAP:
-        raise ValueError("time grid too large; shrink the horizon")
     level = 1.0 - tol
-    margin = rho * step
-    exit_time = None
-    for start in range(0, count, _CHUNK):
-        stop = min(start + _CHUNK, count)
-        ts = np.arange(start, stop) * step
-        vals = np.min(np.abs(np.exp(-1j * np.outer(ts, lam)) @ weights.T), axis=1)
-        if exit_time is None:
+    amplitudes, point_bytes = _phase_kernel(lam, weights.T, step)
+    exit_index = None
+
+    def grid_values(start: int, stop: int) -> np.ndarray:
+        nonlocal exit_index
+        vals = np.min(amplitudes(start, stop), axis=1)
+        if exit_index is None:
             below = np.flatnonzero(vals < level)
-            if len(below) == 0:
-                continue
-            exit_time = float(ts[below[0]])
-            vals = vals[below[0] :]
-            ts = ts[below[0] :]
-        for j in np.flatnonzero(vals >= level - margin):
-            # never refine back into the initial identity basin
-            lo = max(exit_time, float(ts[j]) - step)
-            hi = min(t_max, float(ts[j]) + step)
-            t_best, f_best = _golden_max(point, lo, hi)
-            if f_best >= level and t_best > tol:
-                return float(t_best)
-    if exit_time is None:
+            if len(below):
+                exit_index = start + int(below[0])
+        # grid points in the initial identity basin are never candidates
+        basin = len(vals) if exit_index is None else max(0, exit_index - start)
+        vals[:basin] = -math.inf
+        return vals
+
+    def refine(t_center: float):
+        # never refine back into the initial identity basin
+        lo = max(exit_index * step, t_center - step)
+        hi = min(t_max, t_center + step)
+        t_best, f_best = _golden_max(point, lo, hi)
+        if f_best >= level and t_best > tol:
+            return float(t_best)
+        return None
+
+    hit, _ = _grid_candidate_search(
+        grid_values, point_bytes, t_max, step, level - rho * step, refine
+    )
+    if exit_index is None:
         # never left the identity neighborhood on this horizon
         return float(step) if step > tol else float(tol + step)
-    return None
+    return hit

@@ -109,6 +109,24 @@ class TestAnalyze:
         assert code == 2
 
 
+BAD_GRAPH_FILES = {
+    "nan-weight": "hgraph 1 2\n0 1 nan 0\n",
+    "inf-weight": "hgraph 1 2\n0 1 1 -inf\n",
+    "oversized-header": "hgraph 1 1000000000\n",
+}
+
+
+@pytest.mark.parametrize("text", BAD_GRAPH_FILES.values(), ids=BAD_GRAPH_FILES.keys())
+@pytest.mark.parametrize("command", [["analyze"], ["transfer", "0", "1", "pgst"]], ids=["analyze", "transfer"])
+def test_bad_graph_file_exit_2(tmp_path, capsys, command, text):
+    path = str(tmp_path / "bad.hg")
+    with open(path, "w") as fh:
+        fh.write(text)
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
 class TestTransfer:
     def test_pst_at_paper_time(self, c3_file, capsys):
         t = 8.0 * math.pi / (3.0 * math.sqrt(3.0))

@@ -30,6 +30,7 @@ from hermwalk.errors import (
     NotHermitianCirculant,
     OrderTooLarge,
 )
+from hermwalk.graph import MAX_FILE_VERTICES
 
 from conftest import max_abs
 
@@ -156,6 +157,18 @@ class TestConstructK2K4:
         assert g.adjacency[0, 1] == -1j
         assert np.trace(g.adjacency) == 0
         assert g.labels == ["00", "01", "10", "11"]
+
+    def test_k4_explicit_matrix(self):
+        explicit = np.array(
+            [
+                [0, -1j, 1j, 1j],
+                [1j, 0, -1j, 1j],
+                [-1j, 1j, 0, -1j],
+                [-1j, -1j, 1j, 0],
+            ],
+            dtype=complex,
+        )
+        assert max_abs(construct_k4().adjacency - explicit) == 0.0
 
     def test_k4_spectrum(self):
         sd = hermitian_eigendecomposition(construct_k4().adjacency)
@@ -306,6 +319,16 @@ class TestGraphFile:
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphFormatError):
             graph_from_text("hgraph 1 2\n0 5 1 0\n")
+
+    @pytest.mark.parametrize("entry", ["0 1 nan 0", "0 1 1 inf", "0 0 -inf 0"])
+    def test_rejects_non_finite_weight(self, entry):
+        with pytest.raises(GraphFormatError):
+            graph_from_text(f"hgraph 1 2\n{entry}\n")
+
+    def test_rejects_vertex_count_above_cap(self):
+        graph_from_text(f"hgraph 1 {MAX_FILE_VERTICES}\n")
+        with pytest.raises(GraphFormatError):
+            graph_from_text(f"hgraph 1 {MAX_FILE_VERTICES + 1}\n")
 
     def test_text_form_has_17_digit_floats(self):
         g = from_entries(2, [(0, 1, 1 / 3, -2 / 7)])

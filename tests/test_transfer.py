@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hermwalk import (
     HermitianGraph,
     KroneckerTarget,
     TransferKind,
+    cartesian_product,
     construct_cp,
     construct_k2,
     construct_k4,
@@ -19,11 +21,13 @@ from hermwalk import (
     pst_check_at_time,
     scan_to_csv,
 )
+from hermwalk import transfer
 from hermwalk.errors import IndexOutOfRange, InvalidTarget
 
 from conftest import random_hermitian
 
 SQRT3 = math.sqrt(3.0)
+P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
 
 
 @pytest.fixture(scope="module")
@@ -289,3 +293,122 @@ class TestPeriodicitySearch:
         sd = hermitian_eigendecomposition((2.0 * np.eye(3)).astype(complex))
         t = periodicity_search(sd, 1.0)
         assert t is not None and t > 1e-6
+
+
+class TestPhaseKernel:
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("table_bytes", [transfer._CHUNK_BYTES, 16 * 12 * 12 * 5])
+    def test_matches_direct_evaluation(self, rng, monkeypatch, n, table_bytes):
+        # the small byte budget shortens the rows of the m = n table
+        monkeypatch.setattr(transfer, "_CHUNK_BYTES", table_bytes)
+        sd = hermitian_eigendecomposition(random_hermitian(rng, n, scale=3.0))
+        lam = sd.eigenvalues
+        step = 0.1 / float(np.max(np.abs(lam)))
+        single = transfer._pair_coefficients(sd, 0, n - 1)
+        columns = (np.abs(sd.eigenvectors) ** 2).T
+        # ranges that are not multiples of the row length or of a chunk
+        for start, stop in [(0, 1), (0, 1000), (37, 1100), (4095, 9001)]:
+            ts = np.arange(start, stop) * step
+            phases = np.exp(-1j * np.outer(ts, lam))
+            for coeffs in (single, columns):
+                amplitudes, _ = transfer._phase_kernel(lam, coeffs, step)
+                got = amplitudes(start, stop)
+                direct = np.abs(phases @ coeffs)
+                assert got.shape == direct.shape
+                assert float(np.max(np.abs(got - direct))) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "point_bytes", [16, 16 * 64, transfer._CHUNK_BYTES // 100], ids=["m1", "m64", "row-chunks"]
+    )
+    def test_chunked_peaks_match_whole_grid(self, rng, point_bytes):
+        # refinement order and peak classification, including the lookahead
+        # at chunk boundaries, must not depend on how the grid is chunked
+        step, count, threshold = 0.01, 9000, 0.5
+        vals = rng.random(count)
+        centers = []
+
+        def refine(t):
+            centers.append(t)
+            return None
+
+        hit, (best_t, best_v) = transfer._grid_candidate_search(
+            lambda start, stop: vals[start:stop], point_bytes, (count - 1) * step,
+            step, threshold, refine,
+        )
+        padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+        peak = (vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= threshold)
+        assert hit is None
+        assert centers == [float(j * step) for j in np.flatnonzero(peak)]
+        assert (best_t, best_v) == (int(np.argmax(vals)) * step, float(np.max(vals)))
+
+    @pytest.mark.parametrize("offset", [-1, 0])
+    def test_chunk_boundary_peak_found(self, offset):
+        # scaled Pauli X: fidelity 0 -> 1 is |sin(w t)|, peaking exactly on
+        # the grid index on one side of the first chunk boundary
+        _, boundary = next(transfer._grid_chunks(10**6, 16))
+        step = 0.01
+        t_peak = (boundary + offset) * step
+        w = math.pi / (2.0 * t_peak)
+        sd = hermitian_eigendecomposition(w * construct_k2("X").adjacency)
+        report = pgst_search(sd, 0, 1, 1.0 - 1e-12, 2.0 * boundary * step)
+        assert report.kind is TransferKind.PRETTY_GOOD
+        assert abs(report.time - t_peak) <= 1e-6
+
+
+class TestEarlyExit:
+    @pytest.mark.parametrize(
+        "adjacency, a, b, target",
+        [
+            (construct_cp(5).adjacency, 0, 1, 0.999),
+            (construct_cp(7).adjacency, 0, 3, 0.99),
+            (construct_k4().adjacency, 0, 3, 0.99),
+            (cartesian_product(construct_k2("X"), construct_cp(5)).adjacency, 0, 6, 0.95),
+            (P3, 0, 2, 0.999),
+        ],
+        ids=["C5", "C7", "K4", "K2xC5", "P3"],
+    )
+    def test_answer_independent_of_horizon(self, adjacency, a, b, target):
+        sd = hermitian_eigendecomposition(adjacency)
+        far = pgst_search(sd, a, b, target, 1e4)
+        assert far.kind is TransferKind.PRETTY_GOOD
+        near = pgst_search(sd, a, b, target, far.time + 0.05)
+        assert near.kind is TransferKind.PRETTY_GOOD
+        assert (near.time, near.fidelity) == (far.time, far.fidelity)
+
+
+class TestFidelityScanOracle:
+    def test_matches_expm_at_sampled_rows(self, rng):
+        a = random_hermitian(rng, 6)
+        sd = hermitian_eigendecomposition(a)
+        samples = 3001
+        scan = fidelity_scan(sd, 2, 4, 60.0, samples)
+        for row in [0, 1, 63, 64, 1023, 1024, 1025, 2047, 2999, samples - 1]:
+            t = scan[row, 0]
+            oracle = abs(scipy.linalg.expm(-1j * t * a)[4, 2])
+            assert abs(scan[row, 1] - oracle) <= 1e-9
+
+
+class TestPeriodicityPeaks:
+    def test_k4_refines_only_grid_local_maxima(self, sd_k4, monkeypatch):
+        windows = []
+        golden = transfer._golden_max
+
+        def recording(f, lo, hi, *args):
+            windows.append((lo, hi))
+            return golden(f, lo, hi, *args)
+
+        monkeypatch.setattr(transfer, "_golden_max", recording)
+        t_max, tol = 100.0, 1e-6
+        assert periodicity_search(sd_k4, t_max, tol) is None
+        # oracle: min_a |U(t)_aa| on the whole grid, evaluated directly
+        lam = sd_k4.eigenvalues
+        rho = float(np.max(np.abs(lam)))
+        step = min(0.01, 0.1 / rho)
+        ts = np.arange(int(t_max / step) + 1) * step
+        weights = np.abs(sd_k4.eigenvectors) ** 2
+        vals = np.min(np.abs(np.exp(-1j * np.outer(ts, lam)) @ weights.T), axis=1)
+        exit_index = int(np.flatnonzero(vals < 1.0 - tol)[0])
+        vals[:exit_index] = -np.inf
+        padded = np.concatenate(([-np.inf], vals, [-np.inf]))
+        peak = (vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= 1.0 - tol - rho * step)
+        assert len(windows) == int(np.count_nonzero(peak)) > 0
