@@ -12,7 +12,6 @@ from .circulant_pst import (
     UpstReport,
     pst_spectral_certificate,
     pst_time,
-    rational_reconstruct,
     upst_certify,
 )
 from .graph import (
@@ -37,7 +36,13 @@ from .linalg import (
     hermitian_eigendecomposition,
     nearest_monomial,
 )
-from .numbertheory import gcd, independence_screen, integer_relation, modular_inverse
+from .numbertheory import (
+    gcd,
+    independence_screen,
+    integer_relation,
+    modular_inverse,
+    rational_reconstruct,
+)
 from .spectra import (
     circulant_eigenvalues,
     eigenvalue_ratio_rationality,

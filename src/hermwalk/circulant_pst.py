@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import UnsupportedGraph
 from .linalg import hermitian_eigendecomposition, max_abs
-from .numbertheory import modular_inverse
+from .numbertheory import modular_inverse, rational_reconstruct
 from .spectra import circulant_eigenvalues
 from .swaut import MonomialMatrix, enumerate_switching_automorphisms
 from .transfer import TransferKind, TransferReport, pst_check_at_time
@@ -59,19 +58,6 @@ class PstCertificate:
     c: tuple[int, ...]
     alpha_offset: float
     max_residual: float
-
-
-def rational_reconstruct(x: float, max_den: int, tol: float) -> tuple[int, int] | None:
-    """Best continued-fraction approximation p/q with q <= max_den, accepted
-    only when |x - p/q| <= tol.  None signals no rational of that size."""
-    if max_den < 1:
-        raise ValueError("max_den must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(frac)) <= tol:
-        return frac.numerator, frac.denominator
-    return None
 
 
 def pst_spectral_certificate(eigs) -> PstCertificate | NoCertificate:

@@ -200,6 +200,9 @@ def _cmd_analyze(args) -> int:
     except HermwalkError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -20,13 +20,11 @@ from .errors import (
     DuplicateEdge,
     GraphFormatError,
     IndexOutOfRange,
-    NotHermitianCirculant,
     OrderTooLarge,
 )
-from .linalg import as_square_complex, max_abs
+from .linalg import HERMITIAN_TOL, as_square_complex, max_abs
+from .spectra import check_hermitian_circulant
 from .swaut import MonomialMatrix
-
-_HERMITIAN_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -41,7 +39,7 @@ class HermitianGraph:
         self.adjacency = as_square_complex(self.adjacency)
         if self.adjacency.shape[0] != self.n:
             raise DimensionMismatch("adjacency shape does not match n")
-        if max_abs(self.adjacency - self.adjacency.conj().T) > _HERMITIAN_TOL:
+        if max_abs(self.adjacency - self.adjacency.conj().T) > HERMITIAN_TOL:
             raise ConjugateMismatch("adjacency matrix is not Hermitian within 1e-12")
         if self.labels is not None and len(self.labels) != self.n:
             raise DimensionMismatch("labels length does not match n")
@@ -86,12 +84,8 @@ def circulant(weights) -> HermitianGraph:
     w = np.asarray(weights, dtype=complex)
     if w.ndim != 1 or len(w) < 1:
         raise ValueError("weights must be a nonempty 1-d array")
+    check_hermitian_circulant(w)
     n = len(w)
-    if abs(w[0].imag) > _HERMITIAN_TOL:
-        raise NotHermitianCirculant("weights[0] must be real")
-    for k in range(1, n):
-        if abs(w[(n - k) % n] - np.conj(w[k])) > _HERMITIAN_TOL:
-            raise NotHermitianCirculant(f"weights[{n - k}] must conjugate weights[{k}]")
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
     adj = w[idx]
     return HermitianGraph(n=n, adjacency=adj)

@@ -1,4 +1,5 @@
-"""Integer utilities and a bounded integer-relation heuristic.
+"""Integer utilities, rational reconstruction and a bounded
+integer-relation heuristic.
 
 The relation detector searches for a nonzero integer vector a with
 |sum a_k x_k| below a tolerance, using size-reduction plus Lovasz swaps on
@@ -9,6 +10,7 @@ independence, never a proof; the verdict is labeled accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd  # re-exported: standard Euclid
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 __all__ = [
     "gcd",
     "modular_inverse",
+    "rational_reconstruct",
     "integer_relation",
     "independence_screen",
     "IndependenceReport",
@@ -33,6 +36,19 @@ def modular_inverse(j: int, n: int) -> int | None:
         return pow(int(j), -1, int(n))
     except ValueError:
         return None
+
+
+def rational_reconstruct(x: float, max_den: int, tol: float) -> tuple[int, int] | None:
+    """Best continued-fraction approximation p/q with q <= max_den, accepted
+    only when |x - p/q| <= tol.  None signals no rational of that size."""
+    if max_den < 1:
+        raise ValueError("max_den must be at least 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    frac = Fraction(x).limit_denominator(max_den)
+    if abs(x - float(frac)) <= tol:
+        return frac.numerator, frac.denominator
+    return None
 
 
 def _lll_reduce(basis: np.ndarray, delta: float = _LOVASZ_DELTA) -> np.ndarray:

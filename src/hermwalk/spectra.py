@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -20,22 +19,27 @@ from .errors import (
     TraceNotZero,
     WeightsInvalid,
 )
-from .linalg import SpectralDecomposition
+from .linalg import HERMITIAN_TOL, SpectralDecomposition
+from .numbertheory import rational_reconstruct
 
-_HERMITIAN_TOL = 1e-12
+
+def check_hermitian_circulant(w: np.ndarray) -> None:
+    """Raise NotHermitianCirculant unless the first row w of a circulant has
+    a real w[0] and w[n-k] == conj(w[k]) for k >= 1, within HERMITIAN_TOL."""
+    n = len(w)
+    if abs(w[0].imag) > HERMITIAN_TOL:
+        raise NotHermitianCirculant("weights[0] must be real")
+    for k in range(1, n):
+        if abs(w[(n - k) % n] - np.conj(w[k])) > HERMITIAN_TOL:
+            raise NotHermitianCirculant(f"weights[{n - k}] must conjugate weights[{k}]")
 
 
 def circulant_eigenvalues(weights) -> np.ndarray:
     """Eigenvalues lambda_k = sum_j a_j omega^(jk) of a Hermitian circulant,
     in Fourier index order k = 0..n-1 (not sorted)."""
     w = np.asarray(weights, dtype=complex)
-    n = len(w)
-    if abs(w[0].imag) > _HERMITIAN_TOL:
-        raise NotHermitianCirculant("weights[0] must be real")
-    for k in range(1, n):
-        if abs(w[(n - k) % n] - np.conj(w[k])) > _HERMITIAN_TOL:
-            raise NotHermitianCirculant(f"weights[{n - k}] must conjugate weights[{k}]")
-    lam = n * np.fft.ifft(w)
+    check_hermitian_circulant(w)
+    lam = len(w) * np.fft.ifft(w)
     if float(np.max(np.abs(lam.imag))) > 1e-10:
         raise NonRealEigenvalue("circulant eigenvalues acquired imaginary parts")
     return lam.real.copy()
@@ -77,13 +81,6 @@ class RatioReport:
     all_rational: bool
 
 
-def _reconstruct_fraction(x: float, max_den: int, tol: float) -> tuple[int, int] | None:
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(frac)) <= tol:
-        return frac.numerator, frac.denominator
-    return None
-
-
 def eigenvalue_ratio_rationality(
     sd: SpectralDecomposition, max_den: int = 10**4, tol: float = 1e-9
 ) -> RatioReport:
@@ -107,7 +104,7 @@ def eigenvalue_ratio_rationality(
             if j == k:
                 continue
             ratio = float(lam[j] / lam[k])
-            rec = _reconstruct_fraction(ratio, max_den, tol)
+            rec = rational_reconstruct(ratio, max_den, tol)
             if rec is None:
                 entries.append(RatioEntry(j, k, ratio, None, None, False))
                 all_rational = False

@@ -126,27 +126,12 @@ class StructureReport:
     violations: list[str] = field(default_factory=list)
 
 
-def _support_components(adj: np.ndarray) -> int:
-    n = adj.shape[0]
-    seen = [False] * n
-    comps = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        comps += 1
-        stack = [start]
-        seen[start] = True
-        while stack:
-            u = stack.pop()
-            for v in range(n):
-                if v != u and not seen[v] and adj[u, v] != 0:
-                    seen[v] = True
-                    stack.append(v)
-    return comps
-
-
 def _spanning_tree_order(adj: np.ndarray) -> list[tuple[int, int]]:
-    """BFS tree edges (parent, child) over the nonzero off-diagonal support."""
+    """BFS tree edges (parent, child) over the nonzero off-diagonal support.
+
+    The tree spans the support component of vertex 0, so it has n - 1 edges
+    exactly when the support graph is connected.
+    """
     n = adj.shape[0]
     seen = [False] * n
     seen[0] = True
@@ -263,7 +248,7 @@ def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGr
     """
     adj = np.asarray(g.adjacency, dtype=complex)
     n = adj.shape[0]
-    if _support_components(adj) > 1:
+    if len(_spanning_tree_order(adj)) < n - 1:
         raise DisconnectedSupport("support graph has more than one component")
     elements = _monomial_search(adj, adj, phase_tol, find_all=True)
     elements.sort(key=lambda m: m.perm)
@@ -293,7 +278,8 @@ def is_switching_isomorphic(g1, g2, phase_tol: float = 1e-9) -> MonomialMatrix |
     a2 = np.asarray(g2.adjacency, dtype=complex)
     if a1.shape != a2.shape:
         raise DimensionMismatch("graphs must have the same number of vertices")
-    if _support_components(a1) > 1 or _support_components(a2) > 1:
+    n = a1.shape[0]
+    if len(_spanning_tree_order(a1)) < n - 1 or len(_spanning_tree_order(a2)) < n - 1:
         raise DisconnectedSupport("support graphs must be connected")
     found = _monomial_search(a2, a1, phase_tol, find_all=False)
     return found[0] if found else None

@@ -142,12 +142,17 @@ def _phase_kernel(lam: np.ndarray, coeffs: np.ndarray, step: float):
     return amplitudes, 16 * max(m, -(-d // row))
 
 
+def _amplitude_at(lam: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
+    """|exp(-i t lam) @ coeffs| at one time: a scalar for coeffs of shape
+    (d,), one value per column for shape (d, m)."""
+    return np.abs(np.exp(-1j * t * lam) @ coeffs)
+
+
 def fidelity(sd: SpectralDecomposition, a: int, b: int, t: float) -> float:
     """|<b| exp(-itA) |a>| from the spectral decomposition of A."""
     a = _check_vertex(sd, a)
     b = _check_vertex(sd, b)
-    coeffs = _pair_coefficients(sd, a, b)
-    return abs(complex(np.sum(coeffs * np.exp(-1j * t * sd.eigenvalues))))
+    return float(_amplitude_at(sd.eigenvalues, _pair_coefficients(sd, a, b), t))
 
 
 def fidelity_scan(sd: SpectralDecomposition, a: int, b: int, t_max: float, samples: int) -> np.ndarray:
@@ -174,10 +179,8 @@ def fidelity_scan(sd: SpectralDecomposition, a: int, b: int, t_max: float, sampl
 def scan_to_csv(scan: np.ndarray) -> str:
     """CSV rendering of a fidelity scan: header plus one row per sample,
     floats written with 17 significant digits."""
-    lines = ["t,fidelity"]
-    for t, f in scan:
-        lines.append(f"{t:.17g},{f:.17g}")
-    return "\n".join(lines) + "\n"
+    ts, fs = scan.T.tolist()
+    return "t,fidelity\n" + "".join(map("{:.17g},{:.17g}\n".format, ts, fs))
 
 
 def pst_check_at_time(
@@ -300,7 +303,7 @@ def pgst_search(
     rho = float(np.max(np.abs(lam))) if sd.n else 0.0
 
     def point(t: float) -> float:
-        return abs(complex(np.sum(coeffs * np.exp(-1j * t * lam))))
+        return float(_amplitude_at(lam, coeffs, t))
 
     if rho == 0.0:
         f0 = point(0.0)
@@ -390,15 +393,15 @@ def periodicity_search(
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     lam = sd.eigenvalues
-    weights = np.abs(sd.eigenvectors) ** 2  # row a holds |<a|z_k>|^2
+    weights = np.abs(sd.eigenvectors.T) ** 2  # column a holds |<a|z_k>|^2
     rho = float(np.max(np.abs(lam))) if sd.n else 0.0
 
     def point(t: float) -> float:
-        return float(np.min(np.abs(weights @ np.exp(-1j * t * lam))))
+        return float(np.min(_amplitude_at(lam, weights, t)))
 
     step = min(0.01, 0.1 / rho) if rho > 0 else 0.01
     level = 1.0 - tol
-    amplitudes, point_bytes = _phase_kernel(lam, weights.T, step)
+    amplitudes, point_bytes = _phase_kernel(lam, weights, step)
     exit_index = None
 
     def grid_values(start: int, stop: int) -> np.ndarray:

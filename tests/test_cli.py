@@ -108,6 +108,12 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", "/definitely/not/here.hg")
         assert code == 2
 
+    @pytest.mark.parametrize("option", ["--ratio-tol", "--ratio-max-den"])
+    def test_nonpositive_ratio_parameter_exit_2(self, c3_file, capsys, option):
+        code, _, err = run(capsys, "analyze", c3_file, option, "0")
+        assert code == 2
+        assert err.startswith("error:")
+
 
 BAD_GRAPH_FILES = {
     "nan-weight": "hgraph 1 2\n0 1 nan 0\n",

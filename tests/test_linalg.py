@@ -9,6 +9,7 @@ from hermwalk import (
     anticommuting_exponential,
     construct_cp,
     evolution_operator,
+    hadamard_graph,
     hermitian_eigendecomposition,
     nearest_monomial,
 )
@@ -41,7 +42,7 @@ class TestEigendecomposition:
         # independent eigensolver oracle
         assert np.allclose(sd.eigenvalues, np.linalg.eigvalsh(a), atol=1e-12)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16, 32, 64])
     def test_reconstruction_and_unitarity(self, rng, n):
         a = random_hermitian(rng, n)
         sd = hermitian_eigendecomposition(a)
@@ -64,6 +65,22 @@ class TestEigendecomposition:
         for k in range(6):
             col = sd.eigenvectors[:, k]
             pivot = col[int(np.argmax(np.abs(col)))]
+            assert pivot.real > 0 and abs(pivot.imag) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [construct_cp(5).adjacency, construct_cp(7).adjacency, hadamard_graph(3).adjacency],
+        ids=["C5", "C7", "hadamard3"],
+    )
+    def test_phase_convention_on_flat_eigenbasis(self, adjacency):
+        # every modulus is 1/sqrt(n) up to rounding, so the pivot is the
+        # first entry tied with the largest within 1e-10
+        sd = hermitian_eigendecomposition(adjacency)
+        v = sd.eigenvectors
+        assert np.allclose(np.abs(v), 1.0 / math.sqrt(sd.n), atol=1e-12)
+        for k in range(sd.n):
+            mags = np.abs(v[:, k])
+            pivot = v[int(np.flatnonzero(mags >= mags.max() - 1e-10)[0]), k]
             assert pivot.real > 0 and abs(pivot.imag) <= 1e-12
 
     def test_rejects_non_hermitian(self):

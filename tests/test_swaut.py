@@ -273,3 +273,10 @@ class TestSwitchingIsomorphism:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             is_switching_isomorphic(construct_cp(3), construct_k4())
+
+    def test_disconnected_support_rejected(self):
+        split = from_entries(4, [(0, 1, 1, 0), (2, 3, 1, 0)])
+        with pytest.raises(DisconnectedSupport):
+            is_switching_isomorphic(split, path_graph(4))
+        with pytest.raises(DisconnectedSupport):
+            is_switching_isomorphic(path_graph(4), split)

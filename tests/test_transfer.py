@@ -7,8 +7,10 @@ import scipy.linalg
 from hermwalk import (
     HermitianGraph,
     KroneckerTarget,
+    SpectralDecomposition,
     TransferKind,
     cartesian_product,
+    circulant,
     construct_cp,
     construct_k2,
     construct_k4,
@@ -24,7 +26,7 @@ from hermwalk import (
 from hermwalk import transfer
 from hermwalk.errors import IndexOutOfRange, InvalidTarget
 
-from conftest import random_hermitian
+from conftest import haar_unitary, random_hermitian
 
 SQRT3 = math.sqrt(3.0)
 P3 = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex)
@@ -121,6 +123,11 @@ class TestFidelityScan:
         assert len(lines) == 11
         parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert np.array_equal(parsed, scan)
+
+    def test_csv_matches_per_row_rendering(self, rng):
+        scan = np.vstack([rng.random((500, 2)) * [1e4, 1.0], [[0.0, 1.0], [1e-300, 0.0]]])
+        expected = "t,fidelity\n" + "".join(f"{t:.17g},{f:.17g}\n" for t, f in scan)
+        assert scan_to_csv(scan) == expected
 
     def test_validation(self, sd_c3):
         with pytest.raises(ValueError):
@@ -412,3 +419,46 @@ class TestPeriodicityPeaks:
         padded = np.concatenate(([-np.inf], vals, [-np.inf]))
         peak = (vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= 1.0 - tol - rho * step)
         assert len(windows) == int(np.count_nonzero(peak)) > 0
+
+
+class TestEigenbasisInvariance:
+    """Answers depend on the spectral projectors only, never on the basis
+    chosen inside a degenerate eigenspace."""
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            circulant([0, 1, 0, 1]).adjacency,
+            cartesian_product(construct_k2("X"), construct_k2("X")).adjacency,
+            cartesian_product(construct_cp(3), construct_cp(3)).adjacency,
+        ],
+        ids=["C4", "K2XxK2X", "C3xC3"],
+    )
+    def test_rotation_inside_degenerate_blocks(self, rng, adjacency):
+        sd = hermitian_eigendecomposition(adjacency)
+        lam = sd.eigenvalues
+        rotated = sd.eigenvectors.copy()
+        starts = [0] + [k for k in range(1, len(lam)) if lam[k] - lam[k - 1] > 1e-8]
+        assert len(starts) < len(lam)  # the test needs a degenerate eigenspace
+        for lo, hi in zip(starts, starts[1:] + [len(lam)]):
+            rotated[:, lo:hi] = rotated[:, lo:hi] @ haar_unitary(rng, hi - lo)
+        other = SpectralDecomposition(eigenvalues=lam, eigenvectors=rotated)
+        n = sd.n
+        for a in range(n):
+            for b in range(n):
+                for t in (0.3, 1.7, 12.9):
+                    assert abs(fidelity(sd, a, b, t) - fidelity(other, a, b, t)) <= 1e-12
+                if a == b:
+                    continue
+                r1 = pgst_search(sd, a, b, 0.99, 50.0)
+                r2 = pgst_search(other, a, b, 0.99, 50.0)
+                # the golden-section argmax of a flat peak is determined
+                # only to about sqrt(machine epsilon)
+                assert r1.kind is r2.kind
+                assert abs(r1.time - r2.time) <= 1e-6
+                assert abs(r1.fidelity - r2.fidelity) <= 1e-12
+        p1 = periodicity_search(sd, 50.0)
+        p2 = periodicity_search(other, 50.0)
+        assert (p1 is None) == (p2 is None)
+        if p1 is not None:
+            assert abs(p1 - p2) <= 1e-6
