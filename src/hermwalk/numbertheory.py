@@ -2,9 +2,9 @@
 integer-relation heuristic.
 
 The relation detector searches for a nonzero integer vector a with
-|sum a_k x_k| below a tolerance, using size-reduction plus Lovasz swaps on
-the classic integer-relation lattice.  A miss is evidence of rational
-independence, never a proof; the verdict is labeled accordingly.
+|sum a_k x_k| below a tolerance by LLL reduction (size reduction plus
+Lovasz swaps) of the classic integer-relation lattice.  A miss is evidence
+of rational independence, never a proof; the verdict is labeled accordingly.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
 ]
 
 _LOVASZ_DELTA = 0.75
-_FALLBACK_BOUND = 50
 
 
 def modular_inverse(j: int, n: int) -> int | None:
@@ -52,26 +51,21 @@ def rational_reconstruct(x: float, max_den: int, tol: float) -> tuple[int, int] 
 
 
 def _lll_reduce(basis: np.ndarray, delta: float = _LOVASZ_DELTA) -> np.ndarray:
-    """Floating-point LLL on the rows of `basis` (small dimensions only).
+    """Floating-point LLL on the rows of `basis` (Cohen, Alg. 2.6.3).
 
-    The Gram-Schmidt data is recomputed from scratch after every change;
-    wasteful but robust, and the lattices here have at most nine rows.
+    Size reduction leaves the Gram-Schmidt vectors unchanged, so it updates
+    the rows and mu in place; the Gram-Schmidt data comes from one QR
+    factorization at the start and after every swap.
     """
     b = basis.astype(float).copy()
     rows = b.shape[0]
 
     def gso():
-        star = np.zeros_like(b)
-        mu = np.zeros((rows, rows))
-        for i in range(rows):
-            star[i] = b[i]
-            for j in range(i):
-                denom = star[j] @ star[j]
-                mu[i, j] = (b[i] @ star[j]) / denom if denom > 0 else 0.0
-                star[i] = star[i] - mu[i, j] * star[j]
-        return star, mu
+        r = np.linalg.qr(b.T, mode="r")
+        diag = np.diag(r)
+        return (r / diag[:, None]).T, diag**2
 
-    star, mu = gso()
+    mu, star_sq = gso()
     k = 1
     guard = 0
     while k < rows:
@@ -79,16 +73,15 @@ def _lll_reduce(basis: np.ndarray, delta: float = _LOVASZ_DELTA) -> np.ndarray:
         if guard > 100_000:
             break
         for j in range(k - 1, -1, -1):
-            if abs(mu[k, j]) > 0.5:
-                b[k] = b[k] - round(mu[k, j]) * b[j]
-                star, mu = gso()
-        lhs = star[k] @ star[k]
-        rhs = (delta - mu[k, k - 1] ** 2) * (star[k - 1] @ star[k - 1])
-        if lhs >= rhs:
+            q = round(mu[k, j])
+            if q:
+                b[k] -= q * b[j]
+                mu[k, : j + 1] -= q * mu[j, : j + 1]
+        if star_sq[k] >= (delta - mu[k, k - 1] ** 2) * star_sq[k - 1]:
             k += 1
         else:
             b[[k - 1, k]] = b[[k, k - 1]]
-            star, mu = gso()
+            mu, star_sq = gso()
             k = max(k - 1, 1)
     return b
 
@@ -98,26 +91,6 @@ def _normalize_sign(a: np.ndarray) -> np.ndarray:
         if x != 0:
             return a if x > 0 else -a
     return a
-
-
-def _exhaustive_relation(xs: np.ndarray, bound: int, tol: float) -> np.ndarray | None:
-    """Brute force over small coefficient boxes, m <= 3 only."""
-    m = len(xs)
-    axes = [np.arange(-bound, bound + 1)] * m
-    grids = np.meshgrid(*axes, indexing="ij")
-    coeffs = np.stack([g.ravel() for g in grids], axis=1)
-    sums = coeffs @ xs
-    hit = np.abs(sums) <= tol
-    hit &= np.any(coeffs != 0, axis=1)
-    idx = np.flatnonzero(hit)
-    if len(idx) == 0:
-        return None
-    # smallest by max-coefficient, then lexicographic, for determinism
-    cand = coeffs[idx]
-    order = np.lexsort(tuple(cand[:, i] for i in range(m - 1, -1, -1)))
-    cand = cand[order]
-    best = min(range(len(cand)), key=lambda i: (int(np.max(np.abs(cand[i]))), i))
-    return _normalize_sign(cand[best].astype(int))
 
 
 def _lattice_relation(xs: np.ndarray, coeff_bound: int, tol: float) -> np.ndarray | None:
@@ -133,26 +106,19 @@ def _lattice_relation(xs: np.ndarray, coeff_bound: int, tol: float) -> np.ndarra
     basis = np.hstack([np.eye(m), (xs * scale)[:, None]])
     reduced = _lll_reduce(basis)
     norms = np.einsum("ij,ij->i", reduced, reduced)
-    candidates = []
     for i in np.argsort(norms, kind="stable"):
-        a = np.rint(reduced[i, :m]).astype(np.int64)
-        if not np.any(a):
+        a = np.rint(reduced[i, :m])
+        if not np.any(a) or np.max(np.abs(a)) > coeff_bound:
             continue
-        if np.max(np.abs(a)) > coeff_bound:
-            continue
+        a = a.astype(int)
         if abs(float(a @ xs)) <= tol:
-            candidates.append(_normalize_sign(a.astype(int)))
-    if candidates:
-        return candidates[0]
-    if m <= 3:
-        return _exhaustive_relation(xs, min(_FALLBACK_BOUND, coeff_bound), tol)
+            return _normalize_sign(a)
     return None
 
 
 def integer_relation(xs, coeff_bound: int, tol: float) -> list[int] | None:
     """Nonzero integers a with |a_k| <= coeff_bound and |sum a_k x_k| <= tol,
-    or None when the lattice search (plus an exhaustive fallback for up to
-    three values) finds nothing."""
+    or None when the lattice search finds nothing."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("xs must be a 1-d array")
@@ -182,6 +148,8 @@ def independence_screen(eigs, tol: float = 1e-10) -> IndependenceReport:
     the public integer_relation size cap; the search itself has no such
     limit, only a reliability one.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     values = np.unique(np.asarray(eigs, dtype=float))
     values = values[np.abs(values) > tol]
     if len(values) == 0:

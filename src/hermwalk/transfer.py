@@ -222,7 +222,8 @@ def _golden_max(f, lo: float, hi: float, steps: int = _REFINE_STEPS) -> tuple[fl
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(steps):
-        if b - a < 1e-13:
+        # an argmax is only determined to about sqrt(machine epsilon)
+        if b - a < 1e-9:
             break
         if fc > fd:
             b, d, fd = d, c, fc

@@ -114,6 +114,12 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["0", "-0.001"])
+    def test_nonpositive_screen_tol_exit_2(self, c3_file, capsys, value):
+        code, _, err = run(capsys, "analyze", c3_file, "--screen-tol", value)
+        assert code == 2
+        assert err.startswith("error:")
+
 
 BAD_GRAPH_FILES = {
     "nan-weight": "hgraph 1 2\n0 1 nan 0\n",

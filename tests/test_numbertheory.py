@@ -1,10 +1,12 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hermwalk import gcd, independence_screen, integer_relation, modular_inverse
+from hermwalk.numbertheory import _lll_reduce
 
 
 def brute_force_relation(xs, bound, tol):
@@ -37,6 +39,40 @@ class TestBasics:
             modular_inverse(1, 0)
 
 
+def gram_schmidt(b):
+    """Textbook Gram-Schmidt on the rows: (squared norms of b*_i, mu)."""
+    star = b.astype(float).copy()
+    mu = np.eye(len(b))
+    for i in range(len(b)):
+        for j in range(i):
+            mu[i, j] = (b[i] @ star[j]) / (star[j] @ star[j])
+            star[i] -= mu[i, j] * star[j]
+    return np.einsum("ij,ij->i", star, star), mu
+
+
+class TestLLL:
+    @pytest.mark.parametrize("rows", range(2, 11))
+    def test_reduced_basis_of_same_lattice(self, rng, rows):
+        for _ in range(5):
+            basis = rng.integers(-30, 31, size=(rows, rows + int(rng.integers(0, 3))))
+            if np.linalg.matrix_rank(basis) < rows:
+                continue
+            reduced = _lll_reduce(basis)
+            star_sq, mu = gram_schmidt(reduced)
+            # size reduced
+            assert np.all(np.abs(np.tril(mu, -1)) <= 0.5 + 1e-9)
+            # Lovasz condition at delta = 0.75
+            for k in range(1, rows):
+                rhs = (0.75 - mu[k, k - 1] ** 2) * star_sq[k - 1]
+                assert star_sq[k] >= rhs * (1 - 1e-9)
+            # reduced = U @ basis with U integer and unimodular
+            u = reduced @ np.linalg.pinv(basis.astype(float))
+            assert np.allclose(u, np.rint(u), atol=1e-6)
+            u = np.rint(u).astype(np.int64)
+            assert np.array_equal(u @ basis, reduced)
+            assert abs(abs(np.linalg.det(u)) - 1.0) < 1e-6
+
+
 class TestIntegerRelation:
     def test_equal_sines(self):
         xs = [math.sin(math.pi / 3), math.sin(2 * math.pi / 3)]
@@ -54,21 +90,24 @@ class TestIntegerRelation:
         assert brute_force_relation(xs, 12, 1e-10) is None
 
     def test_returned_relation_satisfies_bound(self, rng):
-        # random planted relations are recovered and re-verified exactly
-        for _ in range(20):
-            coeffs = rng.integers(-5, 6, size=3)
+        # random planted relations are recovered and re-verified exactly:
+        # (number of values, largest coefficient) of each planted relation
+        cases = [(3, 5)] * 20 + [(2, 50)] * 40 + [(3, 50)] * 40
+        for m, bound in cases:
+            coeffs = rng.integers(-bound, bound + 1, size=m)
             while not np.any(coeffs):
-                coeffs = rng.integers(-5, 6, size=3)
-            base = rng.uniform(0.5, 3.0, size=2)
-            # plant x3 so that c1 x1 + c2 x2 + c3 x3 = 0 when c3 != 0
-            if coeffs[2] == 0:
+                coeffs = rng.integers(-bound, bound + 1, size=m)
+            base = rng.uniform(0.5, 3.0, size=m - 1)
+            # plant the last value so that sum c_k x_k = 0 when its c != 0
+            if coeffs[-1] == 0:
                 continue
-            x3 = -(coeffs[0] * base[0] + coeffs[1] * base[1]) / coeffs[2]
-            xs = [base[0], base[1], x3]
+            xs = [*base, -(coeffs[:-1] @ base) / coeffs[-1]]
             rel = integer_relation(xs, 10**4, 1e-9)
             assert rel is not None
             assert abs(sum(c * x for c, x in zip(rel, xs))) <= 1e-9
             assert max(abs(c) for c in rel) <= 10**4
+            # the planted relation itself, up to a common factor
+            assert np.array_equal(np.outer(rel, coeffs), np.outer(coeffs, rel))
 
     def test_size_cap(self):
         with pytest.raises(ValueError):
@@ -116,6 +155,20 @@ class TestIndependenceScreen:
         xs = np.exp(np.linspace(0.1, 2.0, 10))
         report = independence_screen(xs)
         assert report.likely_independent in (True, False)
+
+    def test_nonpositive_tol_rejected(self):
+        for tol in (0.0, -1e-10):
+            with pytest.raises(ValueError):
+                independence_screen([1.0, 2.0], tol)
+
+    @pytest.mark.parametrize("spread", [1.0, 64.0], ids=["exp-0..63", "exp-k/64"])
+    def test_64_exponentials_without_overflow(self, spread):
+        # for e^0..e^63 the reduced basis holds a row beyond int64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = independence_screen(np.exp(np.arange(64) / spread))
+        assert len(report.values) == 64
+        assert report.likely_independent or report.residual <= 1e-10
 
     def test_deterministic(self):
         xs = [1.0, 2.0, math.pi]
