@@ -24,7 +24,7 @@ from .errors import UnsupportedGraph
 from .linalg import hermitian_eigendecomposition, max_abs
 from .numbertheory import modular_inverse, rational_reconstruct
 from .spectra import circulant_eigenvalues
-from .swaut import MonomialMatrix, enumerate_switching_automorphisms
+from .swaut import MonomialMatrix, SwitchingGroup, enumerate_switching_automorphisms
 from .transfer import TransferKind, TransferReport, pst_check_at_time
 
 _RATIO_MAX_DEN = 10**4
@@ -180,7 +180,7 @@ def _fourier_ordered_eigenvalues(adj: np.ndarray, element: MonomialMatrix):
     return circulant_eigenvalues(first), old_of_new
 
 
-def upst_certify(g) -> UpstReport:
+def upst_certify(g, group: SwitchingGroup | None = None) -> UpstReport:
     """Decide universal perfect state transfer for a graph that is
     switching-equivalent to a circulant.
 
@@ -189,13 +189,15 @@ def upst_certify(g) -> UpstReport:
     not circulant up to switching and certification is refused
     (UnsupportedGraph).  On success the spectral certificate is attempted
     and, if issued, the full transfer schedule t, 2t, ..., nt is validated
-    to fidelity 1 - 1e-6 on the actual graph.
+    to fidelity 1 - 1e-6 on the actual graph.  A caller that has already
+    enumerated the group of g passes it as group; the report is the same.
     """
     adj = np.asarray(g.adjacency, dtype=complex)
     n = adj.shape[0]
     if n > _ENUM_CAP:
         raise UnsupportedGraph(f"group enumeration is limited to n <= {_ENUM_CAP}")
-    group = enumerate_switching_automorphisms(g)
+    if group is None:
+        group = enumerate_switching_automorphisms(g)
     cycle = None
     for e in group.elements:
         if _cycle_length(e.perm) == n:

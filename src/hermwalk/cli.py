@@ -166,6 +166,7 @@ def _cmd_analyze(args) -> int:
         else:
             print(f"independence-screen: found-relation {screen.relation}")
 
+        group = None
         if g.n <= _SWAUT_MAX_N:
             group = swaut.enumerate_switching_automorphisms(g)
             report = swaut.structure_report(group, g.n)
@@ -179,7 +180,7 @@ def _cmd_analyze(args) -> int:
             print(f"swaut: skipped (n > {_SWAUT_MAX_N})")
 
         try:
-            upst = circulant_pst.upst_certify(g)
+            upst = circulant_pst.upst_certify(g, group)
         except UnsupportedGraph as exc:
             print(f"upst: Unsupported ({exc})")
         else:

@@ -147,97 +147,94 @@ def _spanning_tree_order(adj: np.ndarray) -> list[tuple[int, int]]:
     return edges
 
 
-def _row_signature(adj: np.ndarray, u: int) -> tuple[float, np.ndarray]:
-    mags = np.abs(adj[u])
-    off = np.sort(np.delete(mags, u))
-    return float(adj[u, u].real), off
-
-
-def _signatures_match(s1, s2, tol: float) -> bool:
-    d1, m1 = s1
-    d2, m2 = s2
-    return abs(d1 - d2) <= tol and bool(np.all(np.abs(m1 - m2) <= tol))
-
-
 def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, find_all: bool):
     """Backtracking search for monomials M with M @ a_from = a_to @ M.
 
     For a_from == a_to these are the switching automorphisms; for two
     different matrices they witness a switching isomorphism
-    a_from = M^dagger a_to M.  Permutation candidates are pruned by
-    per-vertex magnitude signatures, phases are propagated along a
-    spanning tree of the source support graph with d[0] = 1, and every
-    entry of the defining identity is verified before a candidate is
-    accepted.  Deterministic: vertices are processed most-constrained
-    first (ties by index) and candidate targets in ascending order.
+    a_from = M^dagger a_to M.  Vertices are placed in the BFS order of a
+    spanning tree of the source support graph.  Vertex 0 may go to any
+    target and has raw phase 1; every later vertex v with tree parent u may
+    only go to an unused neighbour w of phi(u), and its phase is fixed from
+    the parent as raw[v] = raw[u] * a_from[u, v] / a_to[phi(u), w].  A
+    placement is kept only if it agrees with every vertex already placed in
+    zero pattern, magnitude and phase, and every entry of the defining
+    identity is verified before a complete map is accepted.
+    Deterministic: targets are tried in ascending order.
     """
     n = a_from.shape[0]
     mag_tol = 1e-9
-    sig_from = [_row_signature(a_from, u) for u in range(n)]
-    sig_to = [_row_signature(a_to, u) for u in range(n)]
-    pools = [
-        [w for w in range(n) if _signatures_match(sig_from[u], sig_to[w], mag_tol)]
-        for u in range(n)
-    ]
-    if any(not pool for pool in pools):
-        return []
-    order = sorted(range(n), key=lambda u: (len(pools[u]), u))
     tree = _spanning_tree_order(a_from)
+    order = [0] + [v for _, v in tree]
+    parent = {v: u for u, v in tree}
+    # plain lists: numpy calls on rows this short cost more than the arithmetic
+    rows_from = a_from.tolist()
+    rows_to = a_to.tolist()
+    nbrs_to = [[w for w in range(n) if w != x and rows_to[x][w] != 0] for x in range(n)]
     results = []
     phi = [-1] * n
     used = [False] * n
+    # raw phases stay numpy scalars: Python's complex division rounds differently
+    raw = [np.complex128(1.0)] * n
+    unit = [1.0 + 0j] * n  # raw / |raw|
 
-    def consistent(u: int, w: int) -> bool:
-        if abs(a_from[u, u] - a_to[w, w]) > mag_tol:
+    def fits(depth: int, v: int, w: int) -> bool:
+        row_v, row_w, dv = rows_from[v], rows_to[w], unit[v]
+        if abs(row_v[v] - row_w[w]) > mag_tol:
             return False
-        for v in range(n):
-            x = phi[v]
-            if x < 0 or v == u:
-                continue
-            if (a_from[u, v] != 0) != (a_to[w, x] != 0):
+        for x in order[:depth]:
+            f, t = row_v[x], row_w[phi[x]]
+            if (f == 0) != (t == 0):
                 return False
-            if abs(abs(a_from[u, v]) - abs(a_to[w, x])) > mag_tol:
+            if f != 0 and (abs(abs(f) - abs(t)) > mag_tol or abs(dv * f - t * unit[x]) > phase_tol):
                 return False
         return True
 
     def accept() -> bool:
-        d = np.zeros(n, dtype=complex)
-        d[0] = 1.0
-        for u, v in tree:
-            denom = a_to[phi[u], phi[v]]
-            if denom == 0:
-                return False
-            d[v] = d[u] * a_from[u, v] / denom
-        mags = np.abs(d)
-        if np.any(mags == 0):
-            return False
-        d /= mags
-        # full verification: d_u * a_from[u,v] == a_to[phi(u),phi(v)] * d_v
+        d = np.array(raw)
+        d /= np.abs(d)
+        # full verification: d_u * a_from[u,v] == a_to[phi(u),phi(v)] * d_v;
+        # written so that a NaN from an underflowed phase rejects as well
         lhs = d[:, None] * a_from
         rhs = a_to[np.ix_(phi, phi)] * d[None, :]
-        if float(np.max(np.abs(lhs - rhs))) > phase_tol:
+        if not float(np.max(np.abs(lhs - rhs))) <= phase_tol:
             return False
         results.append(MonomialMatrix(tuple(phi), d))
         return True
 
     def backtrack(depth: int) -> bool:
         if depth == n:
-            found = accept()
-            return found and not find_all
-        u = order[depth]
-        for w in pools[u]:
-            if used[w] or not consistent(u, w):
+            return accept() and not find_all
+        v = order[depth]
+        u = parent.get(v)
+        for w in range(n) if u is None else nbrs_to[phi[u]]:
+            if used[w]:
                 continue
-            phi[u] = w
+            if u is not None:
+                raw[v] = raw[u] * rows_from[u][v] / rows_to[phi[u]][w]
+                unit[v] = complex(raw[v] / abs(raw[v]))
+            if not fits(depth, v, w):
+                continue
+            phi[v] = w
             used[w] = True
             if backtrack(depth + 1):
                 return True
-            phi[u] = -1
+            phi[v] = -1
             used[w] = False
         return False
 
     backtrack(0)
     return results
+
+
+def _generates(e: MonomialMatrix, group_order: int) -> bool:
+    """Whether e has projective order group_order.  An element's order
+    divides the group order, so no power beyond it is ever needed; an
+    element that is not torsion within it numerically generates nothing."""
+    try:
+        return projective_order(e, cap=group_order) == group_order
+    except RuntimeError:
+        return False
 
 
 def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGroup:
@@ -258,11 +255,10 @@ def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGr
         for i, e1 in enumerate(elements)
         for e2 in elements[i + 1 :]
     )
+    # a cyclic group is abelian, so only an abelian group needs the power search
     generator_index = None
-    for i, e in enumerate(elements):
-        if projective_order(e) == order:
-            generator_index = i
-            break
+    if is_abelian:
+        generator_index = next((i for i, e in enumerate(elements) if _generates(e, order)), None)
     return SwitchingGroup(
         elements=elements,
         order=order,

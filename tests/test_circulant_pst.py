@@ -12,6 +12,7 @@ from hermwalk import (
     circulant,
     circulant_eigenvalues,
     construct_cp,
+    enumerate_switching_automorphisms,
     fidelity,
     hadamard_graph,
     hermitian_eigendecomposition,
@@ -54,6 +55,17 @@ def circulant_from_fourier_eigenvalues(lam):
     a = (f * np.asarray(lam, dtype=float)) @ f.conj().T
     a = (a + a.conj().T) / 2.0
     return HermitianGraph(n=n, adjacency=a)
+
+
+def relabeled_circulant():
+    """Circulant with Fourier eigenvalues 0, 4, 8 under the labels 2, 0, 1."""
+    base = circulant_from_fourier_eigenvalues([0.0, 4.0, 8.0]).adjacency
+    relabel = [2, 0, 1]
+    moved = np.empty_like(base)
+    for u in range(3):
+        for v in range(3):
+            moved[relabel[u], relabel[v]] = base[u, v]
+    return HermitianGraph(n=3, adjacency=moved)
 
 
 class TestRationalReconstruct:
@@ -266,18 +278,30 @@ class TestUpstCertify:
 
     def test_relabeled_circulant_certified(self):
         # permuting the vertex labels forces the cycle-element relabeling path
-        lam = [0.0, 4.0, 8.0]
-        base = circulant_from_fourier_eigenvalues(lam).adjacency
-        relabel = [2, 0, 1]
-        moved = np.empty_like(base)
-        for u in range(3):
-            for v in range(3):
-                moved[relabel[u], relabel[v]] = base[u, v]
-        report = upst_certify(HermitianGraph(n=3, adjacency=moved))
+        report = upst_certify(relabeled_circulant())
         assert report.universal
         assert sorted(r.target for r in report.transfers) == [0, 1, 2]
         for r in report.transfers:
             assert r.fidelity >= 1 - 1e-6
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: construct_cp(3), relabeled_circulant, lambda: circulant([0, 1, 0, 1])],
+        ids=["C3", "relabeled", "unweighted-C4"],
+    )
+    def test_given_group_gives_the_same_report(self, make):
+        g = make()
+        reports = [upst_certify(g), upst_certify(g, enumerate_switching_automorphisms(g))]
+        summaries = [
+            (
+                r.universal,
+                r.failure.reason if r.failure else None,
+                r.certificate.j if r.certificate else None,
+                r.cycle_element.perm,
+            )
+            for r in reports
+        ]
+        assert summaries[0] == summaries[1]
 
     def test_single_vertex_degenerate(self):
         from hermwalk import from_entries

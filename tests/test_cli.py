@@ -97,6 +97,19 @@ class TestAnalyze:
         assert code == 0
         assert "upst: Unsupported" in out
 
+    def test_high_order_switching_element_exit_0(self, tmp_path, capsys):
+        # complete multipartite K_{2,3,5}: an element of cycle type (2)(3)(5)
+        # has order 30 > 2n, which must not escape as a traceback
+        side = [0] * 2 + [1] * 3 + [2] * 5
+        edges = [f"{u} {v} 1 0" for u in range(10) for v in range(u + 1, 10) if side[u] != side[v]]
+        path = str(tmp_path / "k235.hg")
+        with open(path, "w") as fh:
+            fh.write("\n".join(["hgraph 1 10", *edges]) + "\n")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 0 and err == ""
+        assert "order=1440 abelian=False cyclic=False" in out
+        assert "upst: Unsupported" in out
+
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "bad.hg")
         with open(path, "w") as fh:

@@ -7,6 +7,8 @@ import pytest
 from hermwalk import (
     HermitianGraph,
     MonomialMatrix,
+    apply_switching,
+    cartesian_product,
     circulant,
     compose,
     construct_cp,
@@ -28,9 +30,25 @@ def path_graph(n):
     return from_entries(n, [(k, k + 1, 1, 0) for k in range(n - 1)])
 
 
-def exhaustive_switching_group(adj, tol=1e-9):
+def switched(g, seed):
+    """g conjugated by a random monomial: randomly relabeled and diagonally switched."""
+    rng = np.random.default_rng(seed)
+    perm = tuple(int(v) for v in rng.permutation(g.n))
+    return apply_switching(g, MonomialMatrix(perm, np.exp(1j * rng.uniform(0, 2 * math.pi, g.n))))
+
+
+def complete_multipartite(*sizes):
+    side = [k for k, size in enumerate(sizes) for _ in range(size)]
+    n = len(side)
+    return from_entries(n, [(u, v, 1, 0) for u in range(n) for v in range(u + 1, n) if side[u] != side[v]])
+
+
+def exhaustive_switching_group(adj, tol=1e-9, adj_to=None):
     """No-pruning oracle: for every permutation solve the linear phase
-    constraints via an SVD nullspace and keep constant-modulus solutions."""
+    constraints via an SVD nullspace and keep constant-modulus solutions.
+    With adj_to given it returns the monomials M with M adj = adj_to M."""
+    if adj_to is None:
+        adj_to = adj
     n = adj.shape[0]
     found = []
     for perm in itertools.permutations(range(n)):
@@ -39,7 +57,7 @@ def exhaustive_switching_group(adj, tol=1e-9):
             for v in range(n):
                 row = np.zeros(n, dtype=complex)
                 row[u] += adj[u, v]
-                row[v] -= adj[perm[u], perm[v]]
+                row[v] -= adj_to[perm[u], perm[v]]
                 if np.any(row != 0):
                     rows.append(row)
         if not rows:
@@ -163,6 +181,11 @@ class TestEnumeration:
             lambda: path_graph(5),
             lambda: circulant([0, 1, 0, 1]),
             lambda: construct_k2("Y"),
+            lambda: switched(construct_cp(5), 1),
+            lambda: switched(construct_k4(), 2),
+            # repeated eigenvalues 0, 0
+            lambda: switched(cartesian_product(construct_k2("X"), construct_k2("X")), 3),
+            lambda: switched(cartesian_product(construct_k2("Y"), construct_cp(3)), 4),
         ],
     )
     def test_matches_exhaustive_oracle(self, make):
@@ -205,6 +228,14 @@ class TestEnumeration:
         g = from_entries(4, [(0, 1, 1, 0), (2, 3, 1, 0)])
         with pytest.raises(DisconnectedSupport):
             enumerate_switching_automorphisms(g)
+
+    def test_high_order_element_does_not_break_cyclic_check(self):
+        # the cycle type (2)(3)(5) has order 30 > 2n; the group is S2 x S3 x S5
+        group = enumerate_switching_automorphisms(complete_multipartite(2, 3, 5))
+        assert group.order == 1440
+        assert not group.is_abelian and not group.is_cyclic
+        assert group.generator_index is None
+        assert max(projective_order(e, cap=group.order) for e in group.elements) == 30
 
     def test_deterministic_element_order(self):
         g = construct_cp(5)
@@ -269,6 +300,24 @@ class TestSwitchingIsomorphism:
         assert witness is not None
         w = witness.to_matrix()
         assert max_abs(w.conj().T @ g.adjacency @ w - g2.adjacency) <= 1e-8
+
+    def test_degenerate_spectrum_relabeled(self):
+        g = cartesian_product(construct_k2("X"), construct_k2("X"))
+        g2 = switched(g, 5)
+        witness = is_switching_isomorphic(g, g2)
+        assert witness is not None
+        w = witness.to_matrix()
+        assert max_abs(w.conj().T @ g.adjacency @ w - g2.adjacency) <= 1e-8
+
+    def test_cospectral_but_not_switching_isomorphic(self):
+        # unit-modulus K4 and its complex conjugate share a spectrum, yet no
+        # relabeling maps the triangle fluxes to their negatives
+        angles = [(0, 1, 0.3), (0, 2, 1.1), (0, 3, 0.0), (1, 2, -0.7), (1, 3, 2.0), (2, 3, 0.0)]
+        g = from_entries(4, [(u, v, math.cos(t), math.sin(t)) for u, v, t in angles])
+        g2 = HermitianGraph(n=4, adjacency=g.adjacency.conj())
+        assert np.allclose(np.linalg.eigvalsh(g.adjacency), np.linalg.eigvalsh(g2.adjacency), atol=1e-12)
+        assert exhaustive_switching_group(g2.adjacency, adj_to=g.adjacency) == []
+        assert is_switching_isomorphic(g, g2) is None
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
