@@ -147,6 +147,22 @@ def _spanning_tree_order(adj: np.ndarray) -> list[tuple[int, int]]:
     return edges
 
 
+def _has_perfect_matching(allowed: list[list[bool]]) -> bool:
+    """Whether some bijection v -> w has allowed[v][w] for every v (augmenting paths)."""
+    owner = [-1] * len(allowed)
+
+    def augment(v: int, seen: set[int]) -> bool:
+        for w, ok in enumerate(allowed[v]):
+            if ok and w not in seen:
+                seen.add(w)
+                if owner[w] < 0 or augment(owner[w], seen):
+                    owner[w] = v
+                    return True
+        return False
+
+    return all(augment(v, set()) for v in range(len(allowed)))
+
+
 def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, find_all: bool):
     """Backtracking search for monomials M with M @ a_from = a_to @ M.
 
@@ -159,11 +175,20 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     the parent as raw[v] = raw[u] * a_from[u, v] / a_to[phi(u), w].  A
     placement is kept only if it agrees with every vertex already placed in
     zero pattern, magnitude and phase, and every entry of the defining
-    identity is verified before a complete map is accepted.
+    identity is verified before a complete map is accepted.  Nothing is
+    searched unless the rows of the two matrices pair up one to one.
     Deterministic: targets are tried in ascending order.
     """
     n = a_from.shape[0]
     mag_tol = 1e-9
+    # a vertex can only go to a target with the same diagonal entry and sorted row magnitudes
+    mags_f, mags_t = (np.sort(np.abs(a - np.diag(np.diag(a))), axis=1) for a in (a_from, a_to))
+    alike = (np.abs(np.diag(a_from)[:, None] - np.diag(a_to)) <= mag_tol) & np.all(
+        np.abs(mags_f[:, None] - mags_t) <= mag_tol, axis=2
+    )
+    alike = alike.tolist()
+    if not _has_perfect_matching(alike):
+        return []
     tree = _spanning_tree_order(a_from)
     order = [0] + [v for _, v in tree]
     parent = {v: u for u, v in tree}
@@ -180,8 +205,6 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
 
     def fits(depth: int, v: int, w: int) -> bool:
         row_v, row_w, dv = rows_from[v], rows_to[w], unit[v]
-        if abs(row_v[v] - row_w[w]) > mag_tol:
-            return False
         for x in order[:depth]:
             f, t = row_v[x], row_w[phi[x]]
             if (f == 0) != (t == 0):
@@ -191,8 +214,7 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
         return True
 
     def accept() -> bool:
-        d = np.array(raw)
-        d /= np.abs(d)
+        d = np.array(unit)
         # full verification: d_u * a_from[u,v] == a_to[phi(u),phi(v)] * d_v;
         # written so that a NaN from an underflowed phase rejects as well
         lhs = d[:, None] * a_from
@@ -208,11 +230,11 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
         v = order[depth]
         u = parent.get(v)
         for w in range(n) if u is None else nbrs_to[phi[u]]:
-            if used[w]:
+            if used[w] or not alike[v][w]:
                 continue
             if u is not None:
                 raw[v] = raw[u] * rows_from[u][v] / rows_to[phi[u]][w]
-                unit[v] = complex(raw[v] / abs(raw[v]))
+                unit[v] = complex(raw[v] / np.abs(raw[v]))  # not abs(): that rounds differently
             if not fits(depth, v, w):
                 continue
             phi[v] = w

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,11 @@ from conftest import max_abs
 
 def path_graph(n):
     return from_entries(n, [(k, k + 1, 1, 0) for k in range(n - 1)])
+
+
+def complete_with_heavy_edges(n, heavy):
+    """K_n with weight 2 on the given edges and 1 elsewhere."""
+    return from_entries(n, [(u, v, 2 if (u, v) in heavy else 1, 0) for u in range(n) for v in range(u + 1, n)])
 
 
 def switched(g, seed):
@@ -318,6 +324,23 @@ class TestSwitchingIsomorphism:
         assert np.allclose(np.linalg.eigvalsh(g.adjacency), np.linalg.eigvalsh(g2.adjacency), atol=1e-12)
         assert exhaustive_switching_group(g2.adjacency, adj_to=g.adjacency) == []
         assert is_switching_isomorphic(g, g2) is None
+
+    @pytest.mark.parametrize(
+        "heavy1, heavy2",
+        [
+            ((), ((12, 13),)),
+            (((12, 13),), ()),
+            # both graphs have rows of both kinds, in different numbers
+            (((0, 1), (2, 3)), ((12, 13),)),
+        ],
+    )
+    def test_unmatched_rows_rejected_without_search(self, heavy1, heavy2):
+        # every placement of a light row fits until the light targets run
+        # out, so a search without the row pairing visits millions of maps
+        g1, g2 = complete_with_heavy_edges(14, heavy1), complete_with_heavy_edges(14, heavy2)
+        start = time.perf_counter()
+        assert is_switching_isomorphic(g1, g2) is None
+        assert time.perf_counter() - start < 5.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
