@@ -24,7 +24,7 @@ from .errors import UnsupportedGraph
 from .linalg import hermitian_eigendecomposition, max_abs
 from .numbertheory import modular_inverse, rational_reconstruct
 from .spectra import circulant_eigenvalues
-from .swaut import MonomialMatrix, SwitchingGroup, enumerate_switching_automorphisms
+from .swaut import MonomialMatrix, SwitchingGroup, _cycles, enumerate_switching_automorphisms
 from .transfer import TransferKind, TransferReport, pst_check_at_time
 
 _RATIO_MAX_DEN = 10**4
@@ -142,15 +142,6 @@ class UpstReport:
     cycle_element: MonomialMatrix | None = None
 
 
-def _cycle_length(perm: tuple[int, ...]) -> int:
-    v = perm[0]
-    length = 1
-    while v != 0:
-        v = perm[v]
-        length += 1
-    return length
-
-
 def _fourier_ordered_eigenvalues(adj: np.ndarray, element: MonomialMatrix):
     """Eigenvalues of adj in the Fourier order of the given n-cycle element,
     together with the relabeling map new index -> old vertex.
@@ -161,9 +152,7 @@ def _fourier_ordered_eigenvalues(adj: np.ndarray, element: MonomialMatrix):
     first row yields the eigenvalues in Fourier order.
     """
     n = adj.shape[0]
-    old_of_new = [0]
-    for _ in range(n - 1):
-        old_of_new.append(element.perm[old_of_new[-1]])
+    old_of_new = list(_cycles(element.perm)[0])  # the orbit of vertex 0
     relabeled = adj[np.ix_(old_of_new, old_of_new)]
     phases = element.phases[old_of_new]
     gain = complex(np.prod(phases))
@@ -200,7 +189,7 @@ def upst_certify(g, group: SwitchingGroup | None = None) -> UpstReport:
         group = enumerate_switching_automorphisms(g)
     cycle = None
     for e in group.elements:
-        if _cycle_length(e.perm) == n:
+        if len(_cycles(e.perm)) == 1:
             if e.perm == tuple((k + 1) % n for k in range(n)):
                 cycle = e  # standard shift needs no relabeling; prefer it
                 break

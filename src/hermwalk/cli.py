@@ -9,6 +9,7 @@ analyze (spectral and structural report for a graph file), and transfer
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ _PARAMLESS_FAMILIES = {
 }
 
 
+@functools.cache  # building it costs about a third of a small transfer command
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hermwalk",

@@ -9,6 +9,7 @@ fixed points).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,9 +95,13 @@ def projectively_equal(m1: MonomialMatrix, m2: MonomialMatrix, tol: float = _PRO
 
 
 def projective_order(m: MonomialMatrix, cap: int | None = None) -> int:
-    """Smallest k >= 1 with m^k projectively equal to the identity."""
+    """Smallest k >= 1 with m^k projectively equal to the identity.
+
+    Such a k is a multiple of the order L of m's permutation, so the
+    default cap is 2 * n * L; a larger order raises RuntimeError.
+    """
     if cap is None:
-        cap = 2 * m.n
+        cap = 2 * m.n * _perm_order(m.perm)
     acc = m
     for k in range(1, cap + 1):
         if acc.is_identity_class():
@@ -249,16 +254,6 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     return results
 
 
-def _generates(e: MonomialMatrix, group_order: int) -> bool:
-    """Whether e has projective order group_order.  An element's order
-    divides the group order, so no power beyond it is ever needed; an
-    element that is not torsion within it numerically generates nothing."""
-    try:
-        return projective_order(e, cap=group_order) == group_order
-    except RuntimeError:
-        return False
-
-
 def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGroup:
     """Enumerate all monomials commuting with g.adjacency, modulo global phase.
 
@@ -272,15 +267,19 @@ def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGr
     elements = _monomial_search(adj, adj, phase_tol, find_all=True)
     elements.sort(key=lambda m: m.perm)
     order = len(elements)
+    # Connected support makes the group faithful on permutations: two elements
+    # with one permutation differ by a diagonal commuting with adj, which is a
+    # global phase.  So the structure is read off the permutations alone.
+    perms = [e.perm for e in elements]
     is_abelian = all(
-        projectively_equal(compose(e1, e2), compose(e2, e1))
-        for i, e1 in enumerate(elements)
-        for e2 in elements[i + 1 :]
+        tuple(p[x] for x in q) == tuple(q[x] for x in p)
+        for i, p in enumerate(perms)
+        for q in perms[i + 1 :]
     )
-    # a cyclic group is abelian, so only an abelian group needs the power search
+    # a cyclic group is abelian, so only an abelian group needs a generator
     generator_index = None
     if is_abelian:
-        generator_index = next((i for i, e in enumerate(elements) if _generates(e, order)), None)
+        generator_index = next((i for i, p in enumerate(perms) if _perm_order(p) == order), None)
     return SwitchingGroup(
         elements=elements,
         order=order,
@@ -345,18 +344,26 @@ def format_group(group: SwitchingGroup) -> str:
     return "\n".join(lines)
 
 
-def _cycle_notation(perm: tuple[int, ...]) -> str:
-    seen = set()
-    parts = []
+def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every cycle of perm, fixed points included, each from its smallest vertex."""
+    seen = [False] * len(perm)
+    cycles = []
     for start in range(len(perm)):
-        if start in seen or perm[start] == start:
-            continue
-        cyc = [start]
-        seen.add(start)
-        v = perm[start]
-        while v != start:
+        cyc = []
+        v = start
+        while not seen[v]:
+            seen[v] = True
             cyc.append(v)
-            seen.add(v)
             v = perm[v]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) if parts else "id"
+        if cyc:
+            cycles.append(tuple(cyc))
+    return cycles
+
+
+def _perm_order(perm: tuple[int, ...]) -> int:
+    return math.lcm(*map(len, _cycles(perm)))
+
+
+def _cycle_notation(perm: tuple[int, ...]) -> str:
+    parts = ["(" + " ".join(map(str, c)) + ")" for c in _cycles(perm) if len(c) > 1]
+    return "".join(parts) or "id"

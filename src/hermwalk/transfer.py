@@ -79,6 +79,8 @@ class KroneckerTarget:
             raise InvalidTarget("epsilon must lie in (0, pi)")
         if self.t_min < 0.0:
             raise InvalidTarget("t_min must be nonnegative")
+        if not math.isfinite(self.t_max):
+            raise InvalidTarget("t_max must be finite")
         if not self.t_min < self.t_max:
             raise InvalidTarget("t_min must be below t_max")
 
@@ -150,6 +152,8 @@ def _amplitude_at(lam: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
 
 def fidelity(sd: SpectralDecomposition, a: int, b: int, t: float) -> float:
     """|<b| exp(-itA) |a>| from the spectral decomposition of A."""
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     a = _check_vertex(sd, a)
     b = _check_vertex(sd, b)
     return float(_amplitude_at(sd.eigenvalues, _pair_coefficients(sd, a, b), t))
@@ -162,8 +166,8 @@ def fidelity_scan(sd: SpectralDecomposition, a: int, b: int, t_max: float, sampl
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     a = _check_vertex(sd, a)
     b = _check_vertex(sd, b)
     coeffs = _pair_coefficients(sd, a, b)
@@ -295,8 +299,8 @@ def pgst_search(
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target_fidelity must lie in (0, 1)")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     a = _check_vertex(sd, a)
     b = _check_vertex(sd, b)
     lam = sd.eigenvalues
@@ -391,8 +395,8 @@ def periodicity_search(
     walk never leaves (adjacency a multiple of the identity), the first grid
     time above tol is returned.
     """
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     lam = sd.eigenvalues
     weights = np.abs(sd.eigenvectors.T) ** 2  # column a holds |<a|z_k>|^2
     rho = float(np.max(np.abs(lam))) if sd.n else 0.0

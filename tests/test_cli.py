@@ -133,6 +133,13 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_options_do_not_leak_between_calls(self, c3_file, capsys):
+        # the parser is built once per process; each call gets fresh defaults
+        _, out, _ = run(capsys, "analyze", c3_file, "--gap-tol", "1e-3")
+        assert "gap_tol=0.001" in out
+        _, out, _ = run(capsys, "analyze", c3_file)
+        assert "gap_tol=1e-08" in out
+
 
 BAD_GRAPH_FILES = {
     "nan-weight": "hgraph 1 2\n0 1 nan 0\n",
@@ -188,6 +195,21 @@ class TestTransfer:
     def test_bad_vertex_exit_2(self, c3_file, capsys):
         code, _, _ = run(capsys, "transfer", c3_file, "0", "7", "pgst")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "mode",
+        [
+            ["pgst", "--tmax", "inf"],
+            ["scan", "--tmax", "inf"],
+            ["pst-at", "--t", "inf"],
+            ["pst-at", "--t", "nan"],
+        ],
+        ids=["pgst-tmax-inf", "scan-tmax-inf", "pst-at-t-inf", "pst-at-t-nan"],
+    )
+    def test_non_finite_time_exit_2(self, c3_file, capsys, mode):
+        code, out, err = run(capsys, "transfer", c3_file, "0", "1", *mode)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
 
     def test_deterministic_output(self, c3_file, capsys):
         args = ("transfer", c3_file, "0", "2", "pgst", "--target", "0.9", "--tmax", "20")

@@ -84,6 +84,22 @@ def exhaustive_switching_group(adj, tol=1e-9, adj_to=None):
     return found
 
 
+def equal_up_to_phase(x, y, tol=1e-8):
+    k = int(np.argmax(np.abs(y)))
+    gamma = x.ravel()[k] / y.ravel()[k]
+    return abs(abs(gamma) - 1.0) <= tol and max_abs(x - gamma * y) <= tol
+
+
+def matrix_projective_order(m, cap):
+    """Number of distinct classes, up to phase, among the matrix powers of m."""
+    power = m
+    for k in range(1, cap + 1):
+        if equal_up_to_phase(power, np.eye(len(m))):
+            return k
+        power = power @ m
+    return None
+
+
 class TestMonomialMatrix:
     def test_canonical_anchor(self):
         m = MonomialMatrix((1, 0), np.array([1j, -1j]))
@@ -192,6 +208,11 @@ class TestEnumeration:
             # repeated eigenvalues 0, 0
             lambda: switched(cartesian_product(construct_k2("X"), construct_k2("X")), 3),
             lambda: switched(cartesian_product(construct_k2("Y"), construct_cp(3)), 4),
+            # Z2 x Z2: abelian, not cyclic
+            lambda: from_entries(4, [(0, 1, 1, 0), (1, 2, 2, 0), (2, 3, 1, 0), (3, 0, 2, 0)]),
+            # D6 and S5: not abelian
+            lambda: circulant([0, 1, 0, 0, 0, 1]),
+            lambda: complete_with_heavy_edges(5, ()),
         ],
     )
     def test_matches_exhaustive_oracle(self, make):
@@ -202,6 +223,18 @@ class TestEnumeration:
         for got, want in zip(group.elements, oracle):
             assert got.perm == want.perm
             assert projectively_equal(got, want, tol=1e-8)
+        # structure from the oracle's matrices, with the compose-based check alongside
+        mats = [e.to_matrix() for e in oracle]
+        abelian = all(equal_up_to_phase(x @ y, y @ x) for x in mats for y in mats)
+        assert abelian == all(projectively_equal(compose(x, y), compose(y, x)) for x in oracle for y in oracle)
+        cyclic = any(matrix_projective_order(m, len(oracle)) == len(oracle) for m in mats)
+        assert group.is_abelian == abelian
+        assert group.is_cyclic == cyclic
+        if cyclic:
+            generator = group.elements[group.generator_index].to_matrix()
+            assert matrix_projective_order(generator, group.order) == group.order
+        else:
+            assert group.generator_index is None
 
     def test_matches_oracle_on_random_weighted_graph(self, rng):
         # weighted enough to have a trivial group; the oracle must agree
@@ -242,6 +275,18 @@ class TestEnumeration:
         assert not group.is_abelian and not group.is_cyclic
         assert group.generator_index is None
         assert max(projective_order(e, cap=group.order) for e in group.elements) == 30
+
+    def test_projective_order_default_cap(self):
+        # K_{2,3,5} has elements of order 30 > 2n; the default cap must reach them
+        group = enumerate_switching_automorphisms(complete_multipartite(2, 3, 5))
+        for e in group.elements:
+            orbit_lengths = []
+            for v in range(e.n):
+                w, length = e.perm[v], 1
+                while w != v:
+                    w, length = e.perm[w], length + 1
+                orbit_lengths.append(length)
+            assert projective_order(e) == math.lcm(*orbit_lengths)
 
     def test_deterministic_element_order(self):
         g = construct_cp(5)

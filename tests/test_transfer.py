@@ -273,6 +273,9 @@ class TestKroneckerTimeSearch:
             KroneckerTarget(frequencies=[1.0], phases=[0.0], epsilon=0.1, t_min=3.0, t_max=2.0)
         with pytest.raises(InvalidTarget):
             KroneckerTarget(frequencies=[1.0], phases=[0.0], epsilon=0.1, t_min=-1.0)
+        for t_max in (math.inf, math.nan):
+            with pytest.raises(InvalidTarget):
+                KroneckerTarget(frequencies=[1.0], phases=[0.0], epsilon=0.1, t_max=t_max)
 
 
 class TestPeriodicitySearch:
@@ -295,6 +298,11 @@ class TestPeriodicitySearch:
         t = periodicity_search(sd_c3, 10.0)
         for k in [2, 3]:
             assert min(fidelity(sd_c3, a, a, k * t) for a in range(3)) >= 1 - 1e-6
+
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_non_finite_horizon_rejected(self, sd_c3, t_max):
+        with pytest.raises(ValueError):
+            periodicity_search(sd_c3, t_max)
 
     def test_scalar_adjacency_degenerate_case(self):
         sd = hermitian_eigendecomposition((2.0 * np.eye(3)).astype(complex))
