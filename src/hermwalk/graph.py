@@ -26,6 +26,8 @@ from .linalg import HERMITIAN_TOL, as_square_complex, max_abs
 from .spectra import check_hermitian_circulant
 from .swaut import MonomialMatrix
 
+_MAX_ALPHA = math.log(np.finfo(float).max)  # largest alpha whose exp is a finite float64
+
 
 @dataclass(eq=False)
 class HermitianGraph:
@@ -144,7 +146,8 @@ def hadamard_graph(n: int, alphas=None) -> HermitianGraph:
     The eigenvectors are the (flat) Hadamard columns and the eigenvalues are
     exactly exp(alpha_z).  Default alphas are 0, 1, ..., 2^n - 1; they must
     be pairwise distinct so the exponentials stay rationally independent
-    (Lindemann).
+    (Lindemann), and finite and at most log(float64 max), about 709.78, so
+    that exp(alpha) is a finite float64; they are checked before exp runs.
     """
     if not 1 <= n <= 6:
         raise OrderTooLarge("order exponent n must be between 1 and 6")
@@ -154,6 +157,10 @@ def hadamard_graph(n: int, alphas=None) -> HermitianGraph:
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != (size,):
         raise ValueError(f"alphas must have length {size}")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("alphas must be finite")
+    if np.max(alphas) > _MAX_ALPHA:
+        raise ValueError(f"alphas must not exceed {_MAX_ALPHA:.6g}: exp(alpha) would overflow")
     if len(np.unique(alphas)) != size:
         raise DuplicateAlpha("alphas must be pairwise distinct")
     h = np.array([[1.0]])

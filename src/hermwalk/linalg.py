@@ -28,6 +28,12 @@ _UNITARY_TOL = 1e-10
 _RECONSTRUCTION_TOL = 1e-9
 
 
+def check_tolerance(tol: float, name: str = "tol", upper: float = math.inf) -> None:
+    """Raise ValueError unless tol is finite and 0 < tol < upper."""
+    if not (0.0 < tol < upper and math.isfinite(tol)):
+        raise ValueError(f"{name} must be finite and lie in (0, {upper:g}), got {tol!r}")
+
+
 def max_abs(m: np.ndarray) -> float:
     """Entrywise max-modulus norm."""
     return float(np.max(np.abs(m))) if m.size else 0.0

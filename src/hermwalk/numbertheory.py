@@ -15,6 +15,8 @@ from math import gcd  # re-exported: standard Euclid
 
 import numpy as np
 
+from .linalg import check_tolerance
+
 __all__ = [
     "gcd",
     "modular_inverse",
@@ -42,8 +44,7 @@ def rational_reconstruct(x: float, max_den: int, tol: float) -> tuple[int, int] 
     only when |x - p/q| <= tol.  None signals no rational of that size."""
     if max_den < 1:
         raise ValueError("max_den must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol)
     frac = Fraction(x).limit_denominator(max_den)
     if abs(x - float(frac)) <= tol:
         return frac.numerator, frac.denominator
@@ -126,8 +127,7 @@ def integer_relation(xs, coeff_bound: int, tol: float) -> list[int] | None:
         raise ValueError("at most 8 values supported")
     if coeff_bound < 1 or coeff_bound > 10**6:
         raise ValueError("coeff_bound must be in [1, 10^6]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol)
     result = _lattice_relation(xs, coeff_bound, tol)
     return None if result is None else [int(v) for v in result]
 
@@ -148,8 +148,7 @@ def independence_screen(eigs, tol: float = 1e-10) -> IndependenceReport:
     the public integer_relation size cap; the search itself has no such
     limit, only a reliability one.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol)
     values = np.unique(np.asarray(eigs, dtype=float))
     values = values[np.abs(values) > tol]
     if len(values) == 0:

@@ -19,7 +19,7 @@ from .errors import (
     TraceNotZero,
     WeightsInvalid,
 )
-from .linalg import HERMITIAN_TOL, SpectralDecomposition
+from .linalg import HERMITIAN_TOL, SpectralDecomposition, check_tolerance
 from .numbertheory import rational_reconstruct
 
 
@@ -48,6 +48,7 @@ def circulant_eigenvalues(weights) -> np.ndarray:
 def eigenvalue_simplicity(sd: SpectralDecomposition, gap_tol: float = 1e-8) -> tuple[bool, float]:
     """Minimum gap between adjacent sorted eigenvalues; simple when it
     exceeds gap_tol."""
+    check_tolerance(gap_tol, "gap_tol")
     if sd.n < 2:
         return True, math.inf
     min_gap = float(np.min(np.diff(sd.eigenvalues)))
@@ -60,6 +61,7 @@ def flat_eigenbasis_check(sd: SpectralDecomposition, tol: float = 1e-8) -> tuple
     Only meaningful when the eigenvalues are simple; with degeneracies the
     eigenbasis is not unique and this reports on the basis provided.
     """
+    check_tolerance(tol)
     target = 1.0 / math.sqrt(sd.n)
     deviation = float(np.max(np.abs(np.abs(sd.eigenvectors) - target)))
     return deviation <= tol, deviation
@@ -91,6 +93,7 @@ def eigenvalue_ratio_rationality(
     of the ratios is a necessary condition).  Pairs with |lambda_k| <= tol
     are skipped since the zero-denominator case carries no information here.
     """
+    check_tolerance(tol)
     lam = sd.eigenvalues
     if abs(float(np.sum(lam))) > 1e-9:
         raise TraceNotZero("eigenvalues do not sum to zero within 1e-9")

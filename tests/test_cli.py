@@ -57,6 +57,15 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "cp", "2", "-o", str(tmp_path / "x.hg"))
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("alphas", ["800,0,1,2", "nan,0,1,2", "0,inf,1,2", "-inf,0,1,2"])
+    def test_hadamard_alphas_checked_before_exp(self, tmp_path, capsys, alphas):
+        # an overflowing np.exp would raise here: pytest turns RuntimeWarning into errors
+        path = tmp_path / "h2.hg"
+        code, out, err = run(capsys, "construct", "hadamard", "2", f"--alphas={alphas}", "-o", str(path))
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+        assert not path.exists()
+
     def test_unknown_family_exit_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "construct", "moebius", "-o", str(tmp_path / "x.hg"))
         assert code == 2
@@ -159,6 +168,28 @@ def test_bad_graph_file_exit_2(tmp_path, capsys, command, text):
     assert err.startswith("error:") and out == ""
 
 
+_TOLERANCE_OPTIONS = {
+    "gap-tol": ["analyze", "--gap-tol"],
+    "flat-tol": ["analyze", "--flat-tol"],
+    "ratio-tol": ["analyze", "--ratio-tol"],
+    "screen-tol": ["analyze", "--screen-tol"],
+    "pst-at-tol": ["transfer", "0", "1", "pst-at", "--t", "1", "--tol"],
+}
+_BAD_TOLERANCES = [
+    (name, value)
+    for name in _TOLERANCE_OPTIONS
+    for value in ["nan", "inf", "-1", "0"] + (["1", "1.5"] if name == "pst-at-tol" else [])
+]
+
+
+@pytest.mark.parametrize("name, value", _BAD_TOLERANCES, ids=[f"{n}={v}" for n, v in _BAD_TOLERANCES])
+def test_invalid_tolerance_exit_2(c3_file, capsys, name, value):
+    command, *rest = _TOLERANCE_OPTIONS[name]
+    code, _, err = run(capsys, command, c3_file, *rest, value)
+    assert code == 2
+    assert err.startswith("error:") and "must be finite and lie in (0, " in err
+
+
 class TestTransfer:
     def test_pst_at_paper_time(self, c3_file, capsys):
         t = 8.0 * math.pi / (3.0 * math.sqrt(3.0))
@@ -207,6 +238,14 @@ class TestTransfer:
         ids=["pgst-tmax-inf", "scan-tmax-inf", "pst-at-t-inf", "pst-at-t-nan"],
     )
     def test_non_finite_time_exit_2(self, c3_file, capsys, mode):
+        code, out, err = run(capsys, "transfer", c3_file, "0", "1", *mode)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize(
+        "mode", [["pst-at", "--t", "1e300"], ["scan", "--tmax", "1e300"]], ids=["pst-at", "scan"]
+    )
+    def test_time_beyond_phase_precision_exit_2(self, c3_file, capsys, mode):
         code, out, err = run(capsys, "transfer", c3_file, "0", "1", *mode)
         assert code == 2
         assert err.startswith("error:") and out == ""

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +17,7 @@ from hermwalk import (
     construct_k4,
     fidelity,
     fidelity_scan,
+    hadamard_graph,
     hermitian_eigendecomposition,
     kronecker_time_search,
     pgst_search,
@@ -68,6 +70,18 @@ class TestFidelity:
     def test_index_validation(self, sd_c3):
         with pytest.raises(IndexOutOfRange):
             fidelity(sd_c3, 0, 3, 1.0)
+
+    def test_phase_precision_limit(self, sd_c3):
+        # |t| * max|lambda| may reach _MAX_PHASE = 2**32 and no further
+        t_edge = transfer._MAX_PHASE / float(np.max(np.abs(sd_c3.eigenvalues)))
+        assert 0.0 <= fidelity(sd_c3, 0, 1, 0.999 * t_edge) <= 1.0
+        assert 0.0 <= fidelity(sd_c3, 0, 1, -0.999 * t_edge) <= 1.0
+        for t in (1.001 * t_edge, -1.001 * t_edge, 1e300):
+            with pytest.raises(ValueError):
+                fidelity(sd_c3, 0, 1, t)
+        assert fidelity_scan(sd_c3, 0, 1, 0.999 * t_edge, 2).shape == (2, 2)
+        with pytest.raises(ValueError):
+            fidelity_scan(sd_c3, 0, 1, 1.001 * t_edge, 2)
 
     def test_column_probability_conservation(self, rng):
         sd = hermitian_eigendecomposition(random_hermitian(rng, 6))
@@ -470,3 +484,130 @@ class TestEigenbasisInvariance:
         assert (p1 is None) == (p2 is None)
         if p1 is not None:
             assert abs(p1 - p2) <= 1e-6
+
+
+def _golden_polish(lam, derivs, t0, lo, hi):
+    """Golden-section search on the window, in place of the Newton polish."""
+    return transfer._golden_max(lambda t: float(transfer._amplitude_at(lam, derivs[:, 0], t)), lo, hi)
+
+
+class TestNewtonPolish:
+    @staticmethod
+    def _oracle_argmaxes(adjacency, pairs, times):
+        """Roots of d|s|^2/dt nearest the given times, from an mpmath
+        eigendecomposition of the same matrix at 40 digits."""
+        roots = []
+        with mpmath.workdps(40):
+            lam, vecs = mpmath.eighe(mpmath.matrix(adjacency.tolist()))
+            n = len(adjacency)
+            for (a, b), t0 in zip(pairs, times):
+                c = [vecs[b, k] * mpmath.conj(vecs[a, k]) for k in range(n)]
+
+                def half_slope(t):
+                    phases = [c[k] * mpmath.exp(-1j * t * lam[k]) for k in range(n)]
+                    s = mpmath.fsum(phases)
+                    s1 = mpmath.fsum(-1j * lam[k] * phases[k] for k in range(n))
+                    return mpmath.re(mpmath.conj(s) * s1)
+
+                roots.append(float(mpmath.findroot(half_slope, mpmath.mpf(t0))))
+        return roots
+
+    @pytest.mark.parametrize(
+        "adjacency, target, t_max",
+        [
+            (hadamard_graph(2, np.arange(4) / 4).adjacency, 0.95, 300.0),
+            (hadamard_graph(3, np.arange(8) / 8).adjacency, 0.75, 600.0),
+            (construct_cp(5).adjacency, 0.999, 200.0),
+            (construct_cp(11).adjacency, 0.8, 250.0),
+        ],
+        ids=["H2", "H3", "C5", "C11"],
+    )
+    def test_argmax_matches_mpmath_root(self, adjacency, target, t_max):
+        sd = hermitian_eigendecomposition(adjacency)
+        pairs = [(0, b) for b in range(1, sd.n)] + [(sd.n - 1, 0)]
+        reports = [pgst_search(sd, a, b, target, t_max) for a, b in pairs]
+        assert all(r.kind is TransferKind.PRETTY_GOOD for r in reports)
+        roots = self._oracle_argmaxes(adjacency, pairs, [r.time for r in reports])
+        for report, root in zip(reports, roots):
+            assert abs(report.time - root) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            construct_cp(5).adjacency,
+            construct_cp(7).adjacency,
+            construct_k4().adjacency,
+            cartesian_product(construct_k2("X"), construct_cp(5)).adjacency,
+            hadamard_graph(2).adjacency,
+            random_hermitian(np.random.default_rng(9), 9),
+        ],
+        ids=["C5", "C7", "K4", "K2xC5", "H2", "random9"],
+    )
+    def test_agrees_with_golden_section(self, adjacency, monkeypatch):
+        sd = hermitian_eigendecomposition(adjacency)
+        pairs = [(a, b) for a in range(sd.n) for b in range(sd.n) if a != b]
+        newton = [pgst_search(sd, a, b, 0.95, 200.0) for a, b in pairs]
+        monkeypatch.setattr(transfer, "_newton_max", _golden_polish)
+        golden = [pgst_search(sd, a, b, 0.95, 200.0) for a, b in pairs]
+        for r1, r2 in zip(newton, golden):
+            assert r1.kind is r2.kind
+            assert abs(r1.time - r2.time) <= 1e-6
+            assert abs(r1.fidelity - r2.fidelity) <= 1e-12
+
+    def _record_golden(self, monkeypatch):
+        windows = []
+        golden = transfer._golden_max
+
+        def recording(f, lo, hi, *args):
+            windows.append((lo, hi))
+            return golden(f, lo, hi, *args)
+
+        monkeypatch.setattr(transfer, "_golden_max", recording)
+        return windows
+
+    def test_valley_start_falls_back(self, sd_c5, monkeypatch):
+        # start at a grid minimum of |s|, where g'' > 0
+        lam = sd_c5.eigenvalues
+        coeffs = transfer._pair_coefficients(sd_c5, 0, 1)
+        ts = np.linspace(0.0, 3.0, 3001)
+        t0 = float(ts[int(np.argmin(np.abs(np.exp(-1j * np.outer(ts, lam)) @ coeffs)))])
+        lo, hi = t0 - 0.01, t0 + 0.01
+        derivs = np.stack([coeffs, -1j * lam * coeffs, -(lam * lam) * coeffs], axis=1)
+        expected = _golden_polish(lam, derivs, t0, lo, hi)
+        windows = self._record_golden(monkeypatch)
+        assert transfer._newton_max(lam, derivs, t0, lo, hi) == expected
+        assert windows == [(lo, hi)]
+
+    def test_step_out_of_window_falls_back(self, monkeypatch):
+        # the path P_3 transfers 0 -> 2 at pi/sqrt(2) = 2.2214; a horizon of
+        # 2.2 cuts the rising flank, so Newton's first step leaves the window
+        sd = hermitian_eigendecomposition(P3)
+        windows = self._record_golden(monkeypatch)
+        report = pgst_search(sd, 0, 2, 0.99, 2.2)
+        assert windows == [(pytest.approx(2.19), 2.2)]
+        monkeypatch.setattr(transfer, "_newton_max", _golden_polish)
+        golden = pgst_search(sd, 0, 2, 0.99, 2.2)
+        assert report.kind is golden.kind is TransferKind.PRETTY_GOOD
+        assert (report.time, report.fidelity) == (golden.time, golden.fidelity) == (2.2, fidelity(sd, 0, 2, 2.2))
+
+    @pytest.mark.parametrize(
+        "adjacency, target, t_max",
+        [
+            (construct_cp(5).adjacency, 0.999, 200.0),
+            (construct_cp(7).adjacency, 0.95, 100.0),
+            (construct_k4().adjacency, 0.999, 100.0),
+            (hadamard_graph(2, np.arange(4) / 4).adjacency, 0.95, 300.0),
+        ],
+        ids=["C5", "C7", "K4", "H2"],
+    )
+    def test_peaks_settle_in_three_evaluations(self, adjacency, target, t_max, monkeypatch):
+        # from a grid maximum, two Newton steps reach a step below
+        # _NEWTON_TOL, so a cap of three evaluations never falls back
+        monkeypatch.setattr(transfer, "_NEWTON_STEPS", 3)
+        windows = self._record_golden(monkeypatch)
+        sd = hermitian_eigendecomposition(adjacency)
+        for a in range(sd.n):
+            for b in range(sd.n):
+                if a != b:
+                    assert pgst_search(sd, a, b, target, t_max).kind is TransferKind.PRETTY_GOOD
+        assert windows == []
