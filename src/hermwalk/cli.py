@@ -16,7 +16,7 @@ import numpy as np
 
 from . import circulant_pst, graph, numbertheory, spectra, swaut, transfer
 from .errors import GraphFormatError, HermwalkError, UnsupportedGraph
-from .linalg import hermitian_eigendecomposition
+from .linalg import check_tolerance, hermitian_eigendecomposition
 
 _SWAUT_MAX_N = 10
 _PARAMLESS_FAMILIES = {
@@ -123,10 +123,22 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _check_analyze_options(args) -> None:
+    """Raise ValueError naming the first invalid analyze option, so that a
+    bad option is rejected before any of the report is printed."""
+    check_tolerance(args.gap_tol, "--gap-tol")
+    check_tolerance(args.flat_tol, "--flat-tol")
+    check_tolerance(args.ratio_tol, "--ratio-tol")
+    check_tolerance(args.screen_tol, "--screen-tol")
+    if args.ratio_max_den < 1:
+        raise ValueError(f"--ratio-max-den must be at least 1, got {args.ratio_max_den}")
+
+
 def _cmd_analyze(args) -> int:
     try:
+        _check_analyze_options(args)
         g = graph.load_graph(args.path)
-    except (GraphFormatError, OSError) as exc:
+    except (GraphFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

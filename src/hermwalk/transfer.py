@@ -1,11 +1,16 @@
 """Fidelity evaluation and time searches for state transfer.
 
 Fidelity |<b| exp(-itA) |a>| is evaluated spectrally.  The searches walk a
-uniform time grid whose step is safe against the Lipschitz bound
-|dF/dt| <= max|lambda|, then polish promising grid points, returning the
-earliest qualifying time: transfer peaks by Newton's method on |s(t)|^2
-(golden-section search where Newton's method fails), periodicity peaks,
-whose objective is a minimum over columns, by golden-section search.
+uniform time grid, then polish promising grid points, returning the
+earliest qualifying time.  The periodicity grid's step is safe against the
+Lipschitz bound |dF/dt| <= max|lambda|; its peaks, whose objective is a
+minimum over columns, are polished by golden-section search.  The transfer
+grid keeps that Lipschitz margin but takes the longer step the curvature
+bound |s''| <= rho_c**2 allows at an interior maximum (rho_c the half-width
+of the spectrum), samples t_max itself as its last point, and polishes
+peaks by Newton's method on |s(t)|^2 from the vertex of the parabola
+through the grid maximum and its neighbours (golden-section search where
+Newton's method fails).
 
 Every grid is evaluated by one factorized phase kernel.  Grid index k is
 written k = k0 + r with 0 <= r < _ROW, so that
@@ -297,8 +302,18 @@ def _newton_max(
     return _golden_max(lambda u: float(_amplitude_at(lam, derivs[:, 0], u)), lo, hi)
 
 
+def _parabola_vertex(t: float, step: float, left: float, mid: float, right: float) -> float:
+    """Vertex of the parabola through (t - step, left), (t, mid) and
+    (t + step, right); t itself when those three do not bend down."""
+    bend = left - 2.0 * mid + right
+    if not (bend < 0.0 and math.isfinite(bend)):
+        return t
+    return t + 0.5 * step * (left - right) / bend
+
+
 def _grid_candidate_search(
-    values_fn, point_bytes: int, t_max: float, step: float, threshold: float, refine_fn
+    values_fn, point_bytes: int, t_max: float, step: float, threshold: float, refine_fn,
+    end_fn=None,
 ):
     """Stream a uniform grid, refine local maxima above threshold in time
     order, and return the first refinement accepted by refine_fn.
@@ -307,15 +322,28 @@ def _grid_candidate_search(
     [start, stop), each point taking point_bytes of temporaries.
     refine_fn(t_center) -> result or None; a non-None result stops the scan.
     Also returns the best (t, value) seen anywhere for the not-found case.
+
+    With end_fn, the objective at one time, the grid is the points
+    k * step below t_max and then t_max itself, sampled by end_fn, and
+    refine_fn is called as refine_fn(t_center, t_seed), t_seed being the
+    vertex of the parabola through the candidate and its two neighbours.
+    The last point below t_max is classified against the grid point after
+    it, so that a candidate's neighbours, and so its refinement, do not
+    depend on the horizon; t_max is a candidate when it is at least the
+    point before it.
     """
-    count = int(math.floor(t_max / step)) + 1
+    if end_fn is None:
+        count = int(math.floor(t_max / step)) + 1
+    else:
+        count = math.ceil(t_max / step)
     if count > _GRID_CAP:
         raise ValueError("time grid too large; shrink the horizon or raise the step")
     best_t, best_v = 0.0, -math.inf
     prev_tail = -math.inf  # value at the last index of the previous chunk
     for start, stop in _grid_chunks(count, point_bytes):
         # one-point lookahead so chunk-boundary maxima are classified correctly
-        vals = values_fn(start, min(stop + 1, count))
+        ahead = stop < count or end_fn is not None
+        vals = values_fn(start, stop + ahead)
         block = vals[: stop - start]
         i = int(np.argmax(block))
         if block[i] > best_v:
@@ -325,15 +353,48 @@ def _grid_candidate_search(
         left[0] = prev_tail
         left[1:] = block[:-1]
         right = np.empty_like(block)
-        right[-1] = vals[stop - start] if stop < count else -math.inf
+        right[-1] = vals[stop - start] if ahead else -math.inf
         right[:-1] = block[1:]
         is_peak = (block >= left) & (block >= right) & (block >= threshold)
         for j in np.flatnonzero(is_peak):
-            result = refine_fn(float((start + j) * step))
+            t = float((start + j) * step)
+            if end_fn is None:
+                result = refine_fn(t)
+            else:
+                seed = _parabola_vertex(t, step, float(left[j]), float(block[j]), float(right[j]))
+                result = refine_fn(t, seed)
             if result is not None:
                 return result, (best_t, best_v)
         prev_tail = float(block[-1])
+    if end_fn is not None:
+        end = end_fn(t_max)
+        if end > best_v:
+            best_t, best_v = t_max, end
+        if end >= threshold and end >= prev_tail:
+            result = refine_fn(t_max, t_max)
+            if result is not None:
+                return result, (best_t, best_v)
     return None, (best_t, best_v)
+
+
+def _pgst_grid(lam: np.ndarray) -> tuple[float, float]:
+    """The pgst_search grid for a nonzero spectrum: (step, margin).
+
+    The margin M = rho * min(0.01, 0.1/rho), rho = max|lambda|, is the
+    Lipschitz margin of the grid step min(0.01, 0.1/rho).  The step is
+    sqrt(2M)/rho_c, rho_c = (max lambda - min lambda)/2, when that is
+    longer: shifting the spectrum by its midpoint leaves |s| unchanged and
+    bounds |s''| by rho_c**2 * sum|c_k| <= rho_c**2 (Cauchy-Schwarz), and
+    at an interior maximum the slope of |s| is zero, so every time within
+    a step of a peak at or above the target lies within M of the target.
+    """
+    rho = float(np.max(np.abs(lam)))
+    lipschitz_step = min(0.01, 0.1 / rho)
+    margin = rho * lipschitz_step
+    rho_c = 0.5 * float(np.max(lam) - np.min(lam))
+    if rho_c == 0.0:  # |s| is constant
+        return lipschitz_step, margin
+    return max(lipschitz_step, math.sqrt(2.0 * margin) / rho_c), margin
 
 
 def pgst_search(
@@ -342,17 +403,23 @@ def pgst_search(
     """Search [0, t_max] for the earliest time with fidelity at or above
     target_fidelity.
 
-    The grid step min(0.01, 0.1/max|lambda|) cannot jump over a qualifying
-    peak because the fidelity is Lipschitz with constant max|lambda|; grid
-    local maxima within that safety margin of the target are polished,
-    earliest first, on the window of one grid step either side by
-    _newton_max: Newton's method on |s|^2, about three evaluations per
-    peak, with golden-section search where it fails.  The grid is evaluated
-    by the factorized phase kernel in chunks that grow from _FIRST_CHUNK
-    points to _CHUNK_BYTES of temporaries, and the scan stops at the first
-    accepted refinement, so the cost follows the answer time rather than
-    t_max.  When nothing qualifies, the best grid point, polished, is
-    reported as NOT_FOUND.
+    The grid and its margin M come from _pgst_grid: M = rho*min(0.01,
+    0.1/rho) with rho = max|lambda|, and the step sqrt(2M)/rho_c with
+    rho_c = (max lambda - min lambda)/2, or min(0.01, 0.1/rho) if that is
+    longer.  Since |s''| <= rho_c**2 once the spectrum is shifted to its
+    midpoint, every time within a step of an interior peak at or above the
+    target has fidelity at least target - M, so the grid cannot jump over a
+    qualifying peak.  That bound does not hold at the horizon, so t_max
+    itself is sampled as the grid's last point.  Grid local maxima at or
+    above target - M are polished, earliest first, on the window of one
+    grid step either side by _newton_max: Newton's method on |s|^2 from the
+    vertex of the parabola through the grid maximum and its neighbours,
+    about three evaluations per peak, with golden-section search where it
+    fails.  The grid is evaluated by the factorized phase kernel in chunks
+    that grow from _FIRST_CHUNK points to _CHUNK_BYTES of temporaries, and
+    the scan stops at the first accepted refinement, so the cost follows
+    the answer time rather than t_max.  When nothing qualifies, the best
+    grid point, polished, is reported as NOT_FOUND.
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target_fidelity must lie in (0, 1)")
@@ -369,24 +436,25 @@ def pgst_search(
         kind = TransferKind.PRETTY_GOOD if f0 >= target_fidelity else TransferKind.NOT_FOUND
         return TransferReport(a, b, 0.0, f0, kind, max(0.0, 1.0 - f0))
 
-    step = min(0.01, 0.1 / rho)
+    step, margin = _pgst_grid(lam)
 
     amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
     derivs = np.stack([coeffs, -1j * lam * coeffs, -(lam * lam) * coeffs], axis=1)
 
-    def polish(t_center: float) -> tuple[float, float]:
+    def polish(t_center: float, t_seed: float) -> tuple[float, float]:
         lo = max(0.0, t_center - step)
         hi = min(t_max, t_center + step)
-        return _newton_max(lam, derivs, t_center, lo, hi)
+        return _newton_max(lam, derivs, min(max(t_seed, lo), hi), lo, hi)
 
-    def refine(t_center: float):
-        t_best, f_best = polish(t_center)
+    def refine(t_center: float, t_seed: float):
+        t_best, f_best = polish(t_center, t_seed)
         if f_best >= target_fidelity:
             return t_best, f_best
         return None
 
     hit, (grid_t, grid_f) = _grid_candidate_search(
-        amplitudes, point_bytes, t_max, step, target_fidelity - rho * step, refine
+        amplitudes, point_bytes, t_max, step, target_fidelity - margin, refine,
+        end_fn=lambda t: float(_amplitude_at(lam, coeffs, t)),
     )
     if hit is not None:
         t_best, f_best = hit
@@ -394,7 +462,7 @@ def pgst_search(
             a, b, t_best, f_best, TransferKind.PRETTY_GOOD, max(0.0, 1.0 - f_best)
         )
     # no qualifying peak; report the best the horizon had to offer
-    t_best, f_best = polish(grid_t)
+    t_best, f_best = polish(grid_t, grid_t)
     if f_best < grid_f:
         t_best, f_best = grid_t, grid_f
     return TransferReport(a, b, t_best, f_best, TransferKind.NOT_FOUND, max(0.0, 1.0 - f_best))

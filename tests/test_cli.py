@@ -142,6 +142,17 @@ class TestAnalyze:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--gap-tol", "-1"), ("--flat-tol", "0"), ("--ratio-tol", "inf"),
+         ("--screen-tol", "nan"), ("--ratio-max-den", "0")],
+    )
+    def test_bad_option_rejected_before_report(self, c3_file, capsys, option, value):
+        code, out, err = run(capsys, "analyze", c3_file, option, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {option} must be ")
+
     def test_options_do_not_leak_between_calls(self, c3_file, capsys):
         # the parser is built once per process; each call gets fresh defaults
         _, out, _ = run(capsys, "analyze", c3_file, "--gap-tol", "1e-3")

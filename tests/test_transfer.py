@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
 from hermwalk import (
     HermitianGraph,
@@ -374,11 +375,14 @@ class TestPhaseKernel:
     def test_chunk_boundary_peak_found(self, offset):
         # scaled Pauli X: fidelity 0 -> 1 is |sin(w t)|, peaking exactly on
         # the grid index on one side of the first chunk boundary
+        # the grid step depends on w, so w is found by fixed-point iteration
         _, boundary = next(transfer._grid_chunks(10**6, 16))
-        step = 0.01
-        t_peak = (boundary + offset) * step
-        w = math.pi / (2.0 * t_peak)
-        sd = hermitian_eigendecomposition(w * construct_k2("X").adjacency)
+        w = 1.0
+        for _ in range(100):
+            sd = hermitian_eigendecomposition(w * construct_k2("X").adjacency)
+            step, _ = transfer._pgst_grid(sd.eigenvalues)
+            t_peak = (boundary + offset) * step
+            w = math.pi / (2.0 * t_peak)
         report = pgst_search(sd, 0, 1, 1.0 - 1e-12, 2.0 * boundary * step)
         assert report.kind is TransferKind.PRETTY_GOOD
         assert abs(report.time - t_peak) <= 1e-6
@@ -584,7 +588,8 @@ class TestNewtonPolish:
         sd = hermitian_eigendecomposition(P3)
         windows = self._record_golden(monkeypatch)
         report = pgst_search(sd, 0, 2, 0.99, 2.2)
-        assert windows == [(pytest.approx(2.19), 2.2)]
+        step, _ = transfer._pgst_grid(sd.eigenvalues)
+        assert windows == [(pytest.approx(2.2 - step), 2.2)]
         monkeypatch.setattr(transfer, "_newton_max", _golden_polish)
         golden = pgst_search(sd, 0, 2, 0.99, 2.2)
         assert report.kind is golden.kind is TransferKind.PRETTY_GOOD
@@ -611,3 +616,95 @@ class TestNewtonPolish:
                 if a != b:
                     assert pgst_search(sd, a, b, target, t_max).kind is TransferKind.PRETTY_GOOD
         assert windows == []
+
+
+def _expm_scan(adjacency, t_max, step):
+    """|U(t)_{b,a}| at t = 0, step, ..., t_max as an array indexed [k, b, a],
+    from powers of expm(-i step A): blocks of 64 powers times U(64 step)^j."""
+    n = len(adjacency)
+    u = scipy.linalg.expm(-1j * step * adjacency)
+    block = np.empty((64, n, n), dtype=complex)
+    block[0] = np.eye(n)
+    for k in range(1, 64):
+        block[k] = u @ block[k - 1]
+    jump = u @ block[-1]
+    count = int(round(t_max / step)) + 1
+    rows, w = [], np.eye(n, dtype=complex)
+    for _ in range(-(-count // 64)):
+        rows.append(np.abs(block @ w))
+        w = jump @ w
+    return np.concatenate(rows)[:count]
+
+
+def _expm_fidelity(adjacency, a, b, t):
+    return abs(scipy.linalg.expm(-1j * t * adjacency)[b, a])
+
+
+def _first_clearing_lobe(adjacency, a, b, f, step, target):
+    """(lo, hi) of the first lobe of the scanned curve f that reaches target,
+    or None.  A scanned local maximum just below the target is maximised
+    with expm before it is ruled out, since the scan may step over its top."""
+    padded = np.concatenate(([-np.inf], f, [-np.inf]))
+    for i in np.flatnonzero((f >= padded[:-2]) & (f >= padded[2:]) & (f >= target - 1e-3)):
+        lo, hi = i, i
+        if f[i] < target:
+            window = (max(0.0, (i - 1) * step), min((len(f) - 1) * step, (i + 1) * step))
+            top = scipy.optimize.minimize_scalar(
+                lambda t: -_expm_fidelity(adjacency, a, b, t), bounds=window,
+                method="bounded", options={"xatol": 1e-10},
+            )
+            if -top.fun < target:
+                continue
+            lo, hi = max(0, i - 1), min(len(f) - 1, i + 1)
+        while lo > 0 and f[lo - 1] >= target:
+            lo -= 1
+        while hi < len(f) - 1 and f[hi + 1] >= target:
+            hi += 1
+        return lo * step, hi * step
+    return None
+
+
+class TestPgstOracle:
+    """pgst_search against a dense expm scan at step 0.005 on every ordered
+    pair: the same kind, a PrettyGood time at the first lobe that clears the
+    target, and the reported fidelity equal to expm's at that time."""
+
+    @pytest.mark.parametrize(
+        "adjacency, target, t_max",
+        [
+            (construct_cp(5).adjacency, 0.999, 200.0),
+            (construct_cp(7).adjacency, 0.95, 100.0),
+            (construct_k4().adjacency, 0.999, 100.0),
+            (cartesian_product(construct_k2("X"), construct_cp(5)).adjacency, 0.95, 60.0),
+            (hadamard_graph(2, np.arange(4) / 4).adjacency, 0.95, 300.0),
+        ]
+        + [(random_hermitian(np.random.default_rng(n), n), 0.7, 50.0) for n in range(5, 10)],
+        ids=["C5", "C7", "K4", "K2xC5", "H2"] + [f"random{n}" for n in range(5, 10)],
+    )
+    def test_matches_dense_expm_scan(self, adjacency, target, t_max):
+        step = 0.005
+        sd = hermitian_eigendecomposition(adjacency)
+        scan = _expm_scan(adjacency, t_max, step)
+        kinds = set()
+        for a in range(sd.n):
+            for b in range(sd.n):
+                if a == b:
+                    continue
+                report = pgst_search(sd, a, b, target, t_max)
+                lobe = _first_clearing_lobe(adjacency, a, b, scan[:, b, a], step, target)
+                kinds.add(report.kind)
+                if lobe is None:
+                    assert report.kind is TransferKind.NOT_FOUND, (a, b)
+                    continue
+                assert report.kind is TransferKind.PRETTY_GOOD, (a, b)
+                assert lobe[0] - 0.02 <= report.time <= lobe[1] + 0.02, (a, b, lobe)
+                assert abs(report.fidelity - _expm_fidelity(adjacency, a, b, report.time)) <= 1e-9
+        assert TransferKind.PRETTY_GOOD in kinds
+
+    def test_peak_cut_by_horizon(self):
+        # K2X transfers 0 -> 1 at pi/2 = 1.5708; the horizon 1.55 lies on the
+        # rising flank above the target, and no grid point but t_max clears it
+        sd = hermitian_eigendecomposition(construct_k2("X").adjacency)
+        report = pgst_search(sd, 0, 1, 0.999, 1.55)
+        assert report.kind is TransferKind.PRETTY_GOOD
+        assert (report.time, report.fidelity) == (1.55, fidelity(sd, 0, 1, 1.55))
