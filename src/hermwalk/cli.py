@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import circulant_pst, graph, numbertheory, spectra, swaut, transfer
-from .errors import GraphFormatError, HermwalkError, UnsupportedGraph
+from .errors import DisconnectedSupport, GraphFormatError, HermwalkError, UnsupportedGraph
 from .linalg import check_tolerance, hermitian_eigendecomposition
 
 _SWAUT_MAX_N = 10
@@ -112,10 +112,10 @@ def _construct(args) -> graph.HermitianGraph:
 def _cmd_construct(args) -> int:
     try:
         g = _construct(args)
+        graph.save_graph(g, args.out)
     except (HermwalkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    graph.save_graph(g, args.out)
     sd = hermitian_eigendecomposition(g.adjacency)
     spectrum = " ".join(f"{v:.12g}" for v in sd.eigenvalues)
     print(f"wrote {args.out}: n={g.n}")
@@ -181,8 +181,14 @@ def _cmd_analyze(args) -> int:
             print(f"independence-screen: found-relation {screen.relation}")
 
         group = None
-        if g.n <= _SWAUT_MAX_N:
-            group = swaut.enumerate_switching_automorphisms(g)
+        if g.n > _SWAUT_MAX_N:
+            print(f"swaut: skipped (n > {_SWAUT_MAX_N})")
+        else:
+            try:
+                group = swaut.enumerate_switching_automorphisms(g)
+            except DisconnectedSupport as exc:
+                print(f"swaut: skipped ({exc})")
+        if group is not None:
             report = swaut.structure_report(group, g.n)
             print(
                 f"swaut: order={report.order} abelian={report.is_abelian} "
@@ -190,12 +196,10 @@ def _cmd_analyze(args) -> int:
                 f"fixed_point_free={all(c == 0 for c in report.fixed_point_counts)}"
             )
             print(swaut.format_group(group))
-        else:
-            print(f"swaut: skipped (n > {_SWAUT_MAX_N})")
 
         try:
             upst = circulant_pst.upst_certify(g, group)
-        except UnsupportedGraph as exc:
+        except (UnsupportedGraph, DisconnectedSupport) as exc:
             print(f"upst: Unsupported ({exc})")
         else:
             if upst.universal:
@@ -224,7 +228,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_transfer(args) -> int:
     try:
         g = graph.load_graph(args.path)
-    except (GraphFormatError, OSError) as exc:
+    except (GraphFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if not (0 <= args.a < g.n and 0 <= args.b < g.n):
@@ -263,7 +267,7 @@ def _cmd_transfer(args) -> int:
     except HermwalkError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -1,16 +1,17 @@
 """Fidelity evaluation and time searches for state transfer.
 
-Fidelity |<b| exp(-itA) |a>| is evaluated spectrally.  The searches walk a
-uniform time grid, then polish promising grid points, returning the
-earliest qualifying time.  The periodicity grid's step is safe against the
-Lipschitz bound |dF/dt| <= max|lambda|; its peaks, whose objective is a
-minimum over columns, are polished by golden-section search.  The transfer
-grid keeps that Lipschitz margin but takes the longer step the curvature
-bound |s''| <= rho_c**2 allows at an interior maximum (rho_c the half-width
-of the spectrum), samples t_max itself as its last point, and polishes
-peaks by Newton's method on |s(t)|^2 from the vertex of the parabola
-through the grid maximum and its neighbours (golden-section search where
-Newton's method fails).
+Fidelity |<b| exp(-itA) |a>| is evaluated spectrally.  The transfer and
+periodicity searches are one peak search on |s(t)| = |sum_k c_k
+exp(-i t lambda_k)|: c_k = <b|z_k><z_k|a> for transfer from a to b, and
+c_k = 1/n for periodicity, where |s| = |tr U(t)|/n.  The search walks a
+uniform time grid whose step the curvature bound |s''| <= rho_c**2 allows at
+an interior maximum (rho_c the half-width of the spectrum) within the
+Lipschitz margin of the step min(0.01, 0.1/max|lambda|), samples t_max
+itself as its last point, and polishes peaks, earliest first, by Newton's
+method on |s(t)|^2 from the vertex of the parabola through the grid maximum
+and its neighbours (golden-section search where Newton's method fails).
+Periodicity starts that search where the walk leaves the identity, found
+on the finer Lipschitz grid.
 
 Every grid is evaluated by one factorized phase kernel.  Grid index k is
 written k = k0 + r with 0 <= r < _ROW, so that
@@ -112,8 +113,8 @@ def _pair_coefficients(sd: SpectralDecomposition, a: int, b: int) -> np.ndarray:
     return sd.eigenvectors[b, :] * np.conj(sd.eigenvectors[a, :])
 
 
-def _grid_chunks(count: int, point_bytes: int):
-    """Yield (start, stop) index ranges covering range(count) in order.
+def _grid_chunks(count: int, point_bytes: int, first: int = 0):
+    """Yield (start, stop) index ranges covering range(first, count) in order.
 
     The first chunk holds _FIRST_CHUNK points and each next one twice as
     many, up to the number of points whose temporaries (point_bytes each)
@@ -121,7 +122,7 @@ def _grid_chunks(count: int, point_bytes: int):
     """
     cap = max(_ROW, _CHUNK_BYTES // point_bytes // _ROW * _ROW)
     size = min(_FIRST_CHUNK, cap)
-    start = 0
+    start = first
     while start < count:
         stop = min(start + size, count)
         yield start, stop
@@ -311,39 +312,39 @@ def _parabola_vertex(t: float, step: float, left: float, mid: float, right: floa
     return t + 0.5 * step * (left - right) / bend
 
 
-def _grid_candidate_search(
-    values_fn, point_bytes: int, t_max: float, step: float, threshold: float, refine_fn,
-    end_fn=None,
-):
-    """Stream a uniform grid, refine local maxima above threshold in time
-    order, and return the first refinement accepted by refine_fn.
-
-    values_fn(start, stop) evaluates the objective at grid indices
-    [start, stop), each point taking point_bytes of temporaries.
-    refine_fn(t_center) -> result or None; a non-None result stops the scan.
-    Also returns the best (t, value) seen anywhere for the not-found case.
-
-    With end_fn, the objective at one time, the grid is the points
-    k * step below t_max and then t_max itself, sampled by end_fn, and
-    refine_fn is called as refine_fn(t_center, t_seed), t_seed being the
-    vertex of the parabola through the candidate and its two neighbours.
-    The last point below t_max is classified against the grid point after
-    it, so that a candidate's neighbours, and so its refinement, do not
-    depend on the horizon; t_max is a candidate when it is at least the
-    point before it.
-    """
-    if end_fn is None:
-        count = int(math.floor(t_max / step)) + 1
-    else:
-        count = math.ceil(t_max / step)
+def _grid_count(t_max: float, step: float) -> int:
+    """Number of grid points k * step below t_max, checked against _GRID_CAP."""
+    count = math.ceil(t_max / step)
     if count > _GRID_CAP:
         raise ValueError("time grid too large; shrink the horizon or raise the step")
-    best_t, best_v = 0.0, -math.inf
+    return count
+
+
+def _grid_candidate_search(
+    values_fn, point_bytes: int, t_max: float, step: float, threshold: float, refine_fn, end_fn,
+    first: int = 0,
+):
+    """Stream a uniform grid from index first, refine local maxima above
+    threshold in time order, and return the first refinement accepted by
+    refine_fn, with the best (t, value) seen anywhere for the not-found case.
+
+    The grid is the points k * step, first <= k, below t_max and then t_max
+    itself.  values_fn(start, stop) evaluates the objective at grid indices
+    [start, stop), each point taking point_bytes of temporaries, and
+    end_fn(t_max) at the horizon.  refine_fn(t_center, t_seed) -> result or
+    None, t_seed being the vertex of the parabola through the candidate and
+    its two neighbours; a non-None result stops the scan.  The point at
+    first has no left neighbour.  The last point below t_max is classified
+    against the grid point after it, so that a candidate's neighbours, and
+    so its refinement, do not depend on the horizon; t_max is a candidate
+    when it is at least the point before it.
+    """
+    count = _grid_count(t_max, step)
+    best_t, best_v = first * step, -math.inf
     prev_tail = -math.inf  # value at the last index of the previous chunk
-    for start, stop in _grid_chunks(count, point_bytes):
+    for start, stop in _grid_chunks(count, point_bytes, first):
         # one-point lookahead so chunk-boundary maxima are classified correctly
-        ahead = stop < count or end_fn is not None
-        vals = values_fn(start, stop + ahead)
+        vals = values_fn(start, stop + 1)
         block = vals[: stop - start]
         i = int(np.argmax(block))
         if block[i] > best_v:
@@ -352,33 +353,32 @@ def _grid_candidate_search(
         left = np.empty_like(block)
         left[0] = prev_tail
         left[1:] = block[:-1]
-        right = np.empty_like(block)
-        right[-1] = vals[stop - start] if ahead else -math.inf
-        right[:-1] = block[1:]
+        right = vals[1:]
         is_peak = (block >= left) & (block >= right) & (block >= threshold)
         for j in np.flatnonzero(is_peak):
             t = float((start + j) * step)
-            if end_fn is None:
-                result = refine_fn(t)
-            else:
-                seed = _parabola_vertex(t, step, float(left[j]), float(block[j]), float(right[j]))
-                result = refine_fn(t, seed)
+            seed = _parabola_vertex(t, step, float(left[j]), float(block[j]), float(right[j]))
+            result = refine_fn(t, seed)
             if result is not None:
                 return result, (best_t, best_v)
         prev_tail = float(block[-1])
-    if end_fn is not None:
-        end = end_fn(t_max)
-        if end > best_v:
-            best_t, best_v = t_max, end
-        if end >= threshold and end >= prev_tail:
-            result = refine_fn(t_max, t_max)
-            if result is not None:
-                return result, (best_t, best_v)
+    end = end_fn(t_max)
+    if end > best_v:
+        best_t, best_v = t_max, end
+    if end >= threshold and end >= prev_tail:
+        result = refine_fn(t_max, t_max)
+        if result is not None:
+            return result, (best_t, best_v)
     return None, (best_t, best_v)
 
 
+def _lipschitz_step(rho: float) -> float:
+    """The Lipschitz grid step min(0.01, 0.1/rho), and 0.01 for rho = 0."""
+    return 0.1 / max(rho, 10.0)
+
+
 def _pgst_grid(lam: np.ndarray) -> tuple[float, float]:
-    """The pgst_search grid for a nonzero spectrum: (step, margin).
+    """The transfer-search grid for a spectrum: (step, margin).
 
     The margin M = rho * min(0.01, 0.1/rho), rho = max|lambda|, is the
     Lipschitz margin of the grid step min(0.01, 0.1/rho).  The step is
@@ -387,9 +387,10 @@ def _pgst_grid(lam: np.ndarray) -> tuple[float, float]:
     bounds |s''| by rho_c**2 * sum|c_k| <= rho_c**2 (Cauchy-Schwarz), and
     at an interior maximum the slope of |s| is zero, so every time within
     a step of a peak at or above the target lies within M of the target.
+    A spectrum of zero width keeps the Lipschitz step.
     """
     rho = float(np.max(np.abs(lam)))
-    lipschitz_step = min(0.01, 0.1 / rho)
+    lipschitz_step = _lipschitz_step(rho)
     margin = rho * lipschitz_step
     rho_c = 0.5 * float(np.max(lam) - np.min(lam))
     if rho_c == 0.0:  # |s| is constant
@@ -397,29 +398,68 @@ def _pgst_grid(lam: np.ndarray) -> tuple[float, float]:
     return max(lipschitz_step, math.sqrt(2.0 * margin) / rho_c), margin
 
 
+def _peak_search(
+    lam: np.ndarray, coeffs: np.ndarray, t_max: float, level: float,
+    t_min: float = -math.inf, t_first: float = 0.0,
+) -> tuple[float, float, bool]:
+    """Earliest time t > t_min in [t_first, t_max] with
+    |s(t)| = |exp(-i t lam) @ coeffs| >= level, for sum|coeffs| <= 1.
+
+    The grid and its margin M come from _pgst_grid.  Since |s''| <= rho_c**2
+    once the spectrum is shifted to its midpoint, every time within a step
+    of an interior peak at or above level has |s| at least level - M, so
+    the grid cannot jump over a qualifying peak.  That bound does not hold
+    at the horizon, so t_max itself is sampled as the grid's last point.
+    The grid starts at its last point at or before t_first.  Grid local
+    maxima at or above level - M are polished, earliest first, by
+    _newton_max on the window of one grid step either side, clipped to
+    [t_first, t_max]: Newton's method on |s|^2 from the vertex of the
+    parabola through the grid maximum and its neighbours, about three
+    evaluations per peak, with golden-section search where it fails.  The
+    scan stops at the first accepted peak, so the cost follows the answer
+    time rather than t_max.
+    Returns (t, |s(t)|, True) for that peak; otherwise (t, |s(t)|, False)
+    for the best grid point or its polish, whichever is higher.
+    """
+    step, margin = _pgst_grid(lam)
+    amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
+    derivs = np.stack([coeffs, -1j * lam * coeffs, -(lam * lam) * coeffs], axis=1)
+
+    def polish(t_center: float, t_seed: float) -> tuple[float, float]:
+        lo = max(t_first, t_center - step)
+        hi = min(t_max, t_center + step)
+        return _newton_max(lam, derivs, min(max(t_seed, lo), hi), lo, hi)
+
+    def refine(t_center: float, t_seed: float):
+        t_best, f_best = polish(t_center, t_seed)
+        if f_best >= level and t_best > t_min:
+            return t_best, f_best
+        return None
+
+    hit, (grid_t, grid_f) = _grid_candidate_search(
+        amplitudes, point_bytes, t_max, step, level - margin, refine,
+        lambda t: float(_amplitude_at(lam, coeffs, t)), math.floor(t_first / step),
+    )
+    if hit is not None:
+        return *hit, True
+    t_best, f_best = polish(grid_t, grid_t)
+    if f_best < grid_f:
+        t_best, f_best = grid_t, grid_f
+    return t_best, f_best, False
+
+
 def pgst_search(
     sd: SpectralDecomposition, a: int, b: int, target_fidelity: float, t_max: float = 1e4
 ) -> TransferReport:
     """Search [0, t_max] for the earliest time with fidelity at or above
-    target_fidelity.
+    target_fidelity: _peak_search on the coefficients <b|z_k><z_k|a>.
 
-    The grid and its margin M come from _pgst_grid: M = rho*min(0.01,
-    0.1/rho) with rho = max|lambda|, and the step sqrt(2M)/rho_c with
-    rho_c = (max lambda - min lambda)/2, or min(0.01, 0.1/rho) if that is
-    longer.  Since |s''| <= rho_c**2 once the spectrum is shifted to its
-    midpoint, every time within a step of an interior peak at or above the
-    target has fidelity at least target - M, so the grid cannot jump over a
-    qualifying peak.  That bound does not hold at the horizon, so t_max
-    itself is sampled as the grid's last point.  Grid local maxima at or
-    above target - M are polished, earliest first, on the window of one
-    grid step either side by _newton_max: Newton's method on |s|^2 from the
-    vertex of the parabola through the grid maximum and its neighbours,
-    about three evaluations per peak, with golden-section search where it
-    fails.  The grid is evaluated by the factorized phase kernel in chunks
-    that grow from _FIRST_CHUNK points to _CHUNK_BYTES of temporaries, and
-    the scan stops at the first accepted refinement, so the cost follows
-    the answer time rather than t_max.  When nothing qualifies, the best
-    grid point, polished, is reported as NOT_FOUND.
+    The grid step is sqrt(2M)/rho_c, rho_c = (max lambda - min lambda)/2,
+    or min(0.01, 0.1/rho) if that is longer, and grid peaks within the
+    margin M = rho*min(0.01, 0.1/rho), rho = max|lambda|, of the target are
+    polished.  When nothing qualifies, the best grid point, polished, is
+    reported as NOT_FOUND.  A spectrum of zero width makes the fidelity
+    constant, and the answer is time 0.
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target_fidelity must lie in (0, 1)")
@@ -429,43 +469,13 @@ def pgst_search(
     b = _check_vertex(sd, b)
     lam = sd.eigenvalues
     coeffs = _pair_coefficients(sd, a, b)
-    rho = float(np.max(np.abs(lam))) if sd.n else 0.0
-
-    if rho == 0.0:
-        f0 = float(_amplitude_at(lam, coeffs, 0.0))
-        kind = TransferKind.PRETTY_GOOD if f0 >= target_fidelity else TransferKind.NOT_FOUND
-        return TransferReport(a, b, 0.0, f0, kind, max(0.0, 1.0 - f0))
-
-    step, margin = _pgst_grid(lam)
-
-    amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
-    derivs = np.stack([coeffs, -1j * lam * coeffs, -(lam * lam) * coeffs], axis=1)
-
-    def polish(t_center: float, t_seed: float) -> tuple[float, float]:
-        lo = max(0.0, t_center - step)
-        hi = min(t_max, t_center + step)
-        return _newton_max(lam, derivs, min(max(t_seed, lo), hi), lo, hi)
-
-    def refine(t_center: float, t_seed: float):
-        t_best, f_best = polish(t_center, t_seed)
-        if f_best >= target_fidelity:
-            return t_best, f_best
-        return None
-
-    hit, (grid_t, grid_f) = _grid_candidate_search(
-        amplitudes, point_bytes, t_max, step, target_fidelity - margin, refine,
-        end_fn=lambda t: float(_amplitude_at(lam, coeffs, t)),
-    )
-    if hit is not None:
-        t_best, f_best = hit
-        return TransferReport(
-            a, b, t_best, f_best, TransferKind.PRETTY_GOOD, max(0.0, 1.0 - f_best)
-        )
-    # no qualifying peak; report the best the horizon had to offer
-    t_best, f_best = polish(grid_t, grid_t)
-    if f_best < grid_f:
-        t_best, f_best = grid_t, grid_f
-    return TransferReport(a, b, t_best, f_best, TransferKind.NOT_FOUND, max(0.0, 1.0 - f_best))
+    if lam[0] == lam[-1]:  # the eigenvalues ascend, so |s| is constant
+        t_best, f_best = 0.0, float(_amplitude_at(lam, coeffs, 0.0))
+        found = f_best >= target_fidelity
+    else:
+        t_best, f_best, found = _peak_search(lam, coeffs, t_max, target_fidelity)
+    kind = TransferKind.PRETTY_GOOD if found else TransferKind.NOT_FOUND
+    return TransferReport(a, b, t_best, f_best, kind, max(0.0, 1.0 - f_best))
 
 
 def kronecker_time_search(target: KroneckerTarget) -> KroneckerSolution | None:
@@ -511,55 +521,39 @@ def kronecker_time_search(target: KroneckerTarget) -> KroneckerSolution | None:
 def periodicity_search(
     sd: SpectralDecomposition, t_max: float, tol: float = 1e-6
 ) -> float | None:
-    """Earliest positive time where the evolution returns to a global phase
-    times the identity, detected via min_a |U(t)_aa| >= 1 - tol.
+    """Earliest time t > tol where the evolution returns to a global phase
+    times the identity, detected via |tr U(t)|/n >= 1 - tol.
 
-    Because U(t) -> I continuously, every graph sits inside the identity
-    neighborhood for a short initial interval; the search first waits for
-    the walk to leave that neighborhood and then refines, earliest first,
-    the grid local maxima within max|lambda| * step of the level.  If the
-    walk never leaves (adjacency a multiple of the identity), the first grid
-    time above tol is returned.
+    |tr U(t)|/n = |sum_k exp(-i t lambda_k)|/n is 1 exactly when U(t) is a
+    phase times I, so tol, in (0, 1), bounds 1 - |tr U|/n.  It is
+    pgst_search's |s(t)| with every coefficient 1/n, and _peak_search finds
+    it with the same grid, margin, horizon sample and Newton polish.
+    Because U(t) -> I continuously, the walk starts inside the identity
+    neighborhood.  It leaves at the first point where |tr U|/n < 1 - tol on
+    the Lipschitz grid min(0.01, 0.1/max|lambda|), finer than the peak
+    grid so that a brief dip is not stepped over; the peak search starts
+    there, and no polish window reaches back before it.  If the walk never
+    leaves on that grid or at t_max (adjacency a multiple of I, or a short
+    horizon), the answer is the Lipschitz step, or tol + step when the step
+    is at most tol, and None when that lies past t_max.
     """
     if not 0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
+    check_tolerance(tol, upper=1.0)
     lam = sd.eigenvalues
-    weights = np.abs(sd.eigenvectors.T) ** 2  # column a holds |<a|z_k>|^2
-    rho = float(np.max(np.abs(lam))) if sd.n else 0.0
-
-    def point(t: float) -> float:
-        return float(np.min(_amplitude_at(lam, weights, t)))
-
-    step = min(0.01, 0.1 / rho) if rho > 0 else 0.01
+    coeffs = np.full(len(lam), 1.0 / len(lam))
     level = 1.0 - tol
-    amplitudes, point_bytes = _phase_kernel(lam, weights, step)
-    exit_index = None
-
-    def grid_values(start: int, stop: int) -> np.ndarray:
-        nonlocal exit_index
-        vals = np.min(amplitudes(start, stop), axis=1)
-        if exit_index is None:
-            below = np.flatnonzero(vals < level)
-            if len(below):
-                exit_index = start + int(below[0])
-        # grid points in the initial identity basin are never candidates
-        basin = len(vals) if exit_index is None else max(0, exit_index - start)
-        vals[:basin] = -math.inf
-        return vals
-
-    def refine(t_center: float):
-        # never refine back into the initial identity basin
-        lo = max(exit_index * step, t_center - step)
-        hi = min(t_max, t_center + step)
-        t_best, f_best = _golden_max(point, lo, hi)
-        if f_best >= level and t_best > tol:
-            return float(t_best)
-        return None
-
-    hit, _ = _grid_candidate_search(
-        grid_values, point_bytes, t_max, step, level - rho * step, refine
-    )
-    if exit_index is None:
+    step = _lipschitz_step(float(np.max(np.abs(lam))))
+    amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
+    for start, stop in _grid_chunks(_grid_count(t_max, step), point_bytes):
+        below = np.flatnonzero(amplitudes(start, stop) < level)
+        if len(below):
+            break
+    else:
+        if _amplitude_at(lam, coeffs, t_max) < level:
+            return None  # leaves only at the horizon
         # never left the identity neighborhood on this horizon
-        return float(step) if step > tol else float(tol + step)
-    return hit
+        t = step if step > tol else tol + step
+        return float(t) if t <= t_max else None
+    t, _, found = _peak_search(lam, coeffs, t_max, level, tol, (start + int(below[0])) * step)
+    return t if found else None

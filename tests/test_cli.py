@@ -66,6 +66,12 @@ class TestConstruct:
         assert err.startswith("error:") and out == ""
         assert not path.exists()
 
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "missing-dir" / "c3.hg")
+        code, out, err = run(capsys, "construct", "cp", "3", "-o", path)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
     def test_unknown_family_exit_2(self, tmp_path, capsys):
         code, _, _ = run(capsys, "construct", "moebius", "-o", str(tmp_path / "x.hg"))
         assert code == 2
@@ -118,6 +124,16 @@ class TestAnalyze:
         assert code == 0 and err == ""
         assert "order=1440 abelian=False cyclic=False" in out
         assert "upst: Unsupported" in out
+
+    def test_disconnected_support_exit_0(self, tmp_path, capsys):
+        # two K2 components: no switching-automorphism search, no certificate
+        path = str(tmp_path / "2k2.hg")
+        with open(path, "w") as fh:
+            fh.write("hgraph 1 4\n0 1 1 0\n2 3 1 0\n")
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 0 and err == ""
+        assert "swaut: skipped (support graph has more than one component)" in out
+        assert "upst: Unsupported (support graph has more than one component)" in out
 
     def test_parse_failure_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "bad.hg")
@@ -233,6 +249,20 @@ class TestTransfer:
         # 17-digit floats parse back to identical values
         ts = [float(line.split(",")[0]) for line in lines[1:]]
         assert ts == list(np.linspace(0.0, 10.0, 100))
+
+    def test_scan_unwritable_output_exit_2(self, c3_file, tmp_path, capsys):
+        out_csv = str(tmp_path / "missing-dir" / "scan.csv")
+        code, out, err = run(capsys, "transfer", c3_file, "0", "1", "scan", "-o", out_csv)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
+    def test_non_utf8_graph_file_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "latin1.hg")
+        with open(path, "wb") as fh:
+            fh.write(b"hgraph 1 2\n# caf\xe9\n0 1 1 0\n")
+        code, out, err = run(capsys, "transfer", path, "0", "1", "pgst")
+        assert code == 2
+        assert err.startswith("error:") and out == ""
 
     def test_bad_vertex_exit_2(self, c3_file, capsys):
         code, _, _ = run(capsys, "transfer", c3_file, "0", "7", "pgst")

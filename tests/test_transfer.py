@@ -227,6 +227,24 @@ class TestPgstSearch:
         assert report.fidelity == pytest.approx(math.sqrt(2.0) / 2.0, abs=1e-9)
         assert report.epsilon == pytest.approx(1.0 - report.fidelity)
 
+    @pytest.mark.parametrize(
+        "adjacency, b, kind, f",
+        [
+            (2.0 * np.eye(3), 0, TransferKind.PRETTY_GOOD, 1.0),
+            (2.0 * np.eye(3), 1, TransferKind.NOT_FOUND, 0.0),
+            (np.array([[3.0]]), 0, TransferKind.PRETTY_GOOD, 1.0),
+        ],
+        ids=["2I-self", "2I-other", "1x1"],
+    )
+    def test_zero_width_spectrum_answers_time_zero(self, adjacency, b, kind, f):
+        # a spectrum of zero width makes |s| constant, so the earliest time
+        # with the best fidelity is 0
+        sd = hermitian_eigendecomposition(adjacency.astype(complex))
+        report = pgst_search(sd, 0, b, 0.9, 10.0)
+        assert report.kind is kind
+        assert report.time == 0.0
+        assert report.fidelity == pytest.approx(f, abs=1e-12)
+
     def test_validation(self, sd_c3):
         with pytest.raises(ValueError):
             pgst_search(sd_c3, 0, 1, 1.5, 10.0)
@@ -324,6 +342,80 @@ class TestPeriodicitySearch:
         t = periodicity_search(sd, 1.0)
         assert t is not None and t > 1e-6
 
+    @pytest.mark.parametrize(
+        "adjacency, period",
+        [(construct_cp(3).adjacency, 2 * math.pi / SQRT3), (construct_k2("X").adjacency, math.pi)],
+        ids=["C3", "K2X"],
+    )
+    def test_polished_to_closed_form(self, adjacency, period):
+        t = periodicity_search(hermitian_eigendecomposition(adjacency), 10.0)
+        assert abs(t - period) <= 1e-10
+
+    def test_diagonal_returns_at_two_pi(self):
+        # U(t) = diag(e^{-it}, e^{-2it}) is a phase times I first at 2 pi,
+        # though both diagonal entries have modulus 1 at every t
+        sd = hermitian_eigendecomposition(np.diag([1.0, 2.0]).astype(complex))
+        assert abs(periodicity_search(sd, 30.0) - 2 * math.pi) <= 1e-9
+
+    def test_block_sum_needs_a_common_phase(self):
+        # K2X + 2 K2X: at pi, U = diag(-I, I) has unit-modulus diagonal but is
+        # not a phase times I; the walk returns first at 2 pi
+        x = construct_k2("X").adjacency
+        a = scipy.linalg.block_diag(x, 2.0 * x)
+        sd = hermitian_eigendecomposition(a)
+        t = periodicity_search(sd, 30.0)
+        assert abs(t - 2 * math.pi) <= 1e-9
+        u = scipy.linalg.expm(-1j * t * a)
+        assert float(np.max(np.abs(u / u[0, 0] - np.eye(4)))) <= 1e-8
+
+    def test_answer_exceeds_tol(self):
+        # |tr U|/2 = |cos(50 t)| returns to 1 at multiples of pi/50; with
+        # tol = 0.5 the first of them above tol is 8 pi/50
+        sd = hermitian_eigendecomposition(np.diag([0.0, 100.0]).astype(complex))
+        assert abs(periodicity_search(sd, 10.0, 0.5) - 8 * math.pi / 50) <= 1e-9
+
+    def test_brief_exit_not_stepped_over(self):
+        # |tr U|/2 = |cos(5 t)| drops below 0.1 only on dips about 0.04 wide,
+        # narrower than the peak grid's step; the walk leaves at the first,
+        # and the first return after tol = 0.9 is 2 pi/5
+        sd = hermitian_eigendecomposition(np.diag([0.0, 10.0]).astype(complex))
+        assert transfer._pgst_grid(sd.eigenvalues)[0] > 0.04
+        assert abs(periodicity_search(sd, 10.0, 0.9) - 2 * math.pi / 5) <= 1e-9
+
+    def test_horizon_before_exit(self, sd_c3):
+        # the walk is still near I at t = 0 but has left by t_max = 0.05,
+        # long before its return at 2 pi/sqrt(3)
+        assert transfer._pgst_grid(sd_c3.eigenvalues)[0] > 0.05
+        assert periodicity_search(sd_c3, 0.05) is None
+
+    @pytest.mark.parametrize(
+        "spectrum, t_max", [([1.0, 1.0 + 1e-9], 10.0), ([2.0, 2.0, 2.0], 0.005)],
+        ids=["narrow", "scalar-short"],
+    )
+    def test_never_leaves_answer_within_horizon(self, spectrum, t_max):
+        sd = hermitian_eigendecomposition(np.diag(spectrum).astype(complex))
+        t = periodicity_search(sd, t_max)
+        assert t is None or 1e-6 < t <= t_max
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0, 1.0, 2.0])
+    def test_tolerance_checked(self, sd_c3, tol):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            periodicity_search(sd_c3, 10.0, tol)
+
+    @pytest.mark.parametrize("scale", [1, 2], ids=["integer", "half-integer"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rational_spectrum_period(self, seed, scale):
+        # eigenvalues m_k / scale: U(t) is a phase times I first at
+        # 2 pi scale / g, g the gcd of the differences m_k - m_0
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 6))
+        m = rng.choice(np.arange(-6, 7), size=n, replace=False)
+        g = math.gcd(*(int(v - m[0]) for v in m[1:]))
+        v = haar_unitary(rng, n)
+        a = (v * (m / scale)) @ v.conj().T
+        t = periodicity_search(hermitian_eigendecomposition((a + a.conj().T) / 2), 30.0)
+        assert abs(t - 2 * math.pi * scale / g) <= 1e-9
+
 
 class TestPhaseKernel:
     @pytest.mark.parametrize("n", range(3, 13))
@@ -351,25 +443,36 @@ class TestPhaseKernel:
         "point_bytes", [16, 16 * 64, transfer._CHUNK_BYTES // 100], ids=["m1", "m64", "row-chunks"]
     )
     def test_chunked_peaks_match_whole_grid(self, rng, point_bytes):
-        # refinement order and peak classification, including the lookahead
-        # at chunk boundaries, must not depend on how the grid is chunked
+        # refinement order, parabola seeds and peak classification, including
+        # the lookahead at chunk boundaries and the horizon sample, must not
+        # depend on how the grid is chunked
         step, count, threshold = 0.01, 9000, 0.5
-        vals = rng.random(count)
-        centers = []
+        vals = rng.random(count + 1)  # vals[count] lies past the horizon
+        t_max, end = (count - 0.5) * step, 0.75
+        calls = []
 
-        def refine(t):
-            centers.append(t)
+        def refine(t, seed):
+            calls.append((t, seed))
             return None
 
         hit, (best_t, best_v) = transfer._grid_candidate_search(
-            lambda start, stop: vals[start:stop], point_bytes, (count - 1) * step,
-            step, threshold, refine,
+            lambda start, stop: vals[start:stop], point_bytes, t_max,
+            step, threshold, refine, lambda t: end,
         )
-        padded = np.concatenate(([-np.inf], vals, [-np.inf]))
-        peak = (vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= threshold)
+        grid = vals[:count]
+        left = np.concatenate(([-np.inf], grid[:-1]))
+        right = vals[1:]
+        peak = (grid >= left) & (grid >= right) & (grid >= threshold)
+        expected = [
+            (float(j * step), transfer._parabola_vertex(j * step, step, left[j], grid[j], right[j]))
+            for j in np.flatnonzero(peak)
+        ]
+        if end >= threshold and end >= grid[-1]:
+            expected.append((t_max, t_max))
         assert hit is None
-        assert centers == [float(j * step) for j in np.flatnonzero(peak)]
-        assert (best_t, best_v) == (int(np.argmax(vals)) * step, float(np.max(vals)))
+        assert calls == expected
+        grid_best = (int(np.argmax(grid)) * step, float(np.max(grid)))
+        assert (best_t, best_v) == (grid_best if grid_best[1] >= end else (t_max, end))
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_chunk_boundary_peak_found(self, offset):
@@ -424,27 +527,46 @@ class TestFidelityScanOracle:
 class TestPeriodicityPeaks:
     def test_k4_refines_only_grid_local_maxima(self, sd_k4, monkeypatch):
         windows = []
-        golden = transfer._golden_max
+        newton = transfer._newton_max
 
-        def recording(f, lo, hi, *args):
+        def recording(lam, derivs, t0, lo, hi):
             windows.append((lo, hi))
-            return golden(f, lo, hi, *args)
+            return newton(lam, derivs, t0, lo, hi)
 
-        monkeypatch.setattr(transfer, "_golden_max", recording)
+        monkeypatch.setattr(transfer, "_newton_max", recording)
         t_max, tol = 100.0, 1e-6
         assert periodicity_search(sd_k4, t_max, tol) is None
-        # oracle: min_a |U(t)_aa| on the whole grid, evaluated directly
+        # oracle: |tr U(t)|/n evaluated directly.  The walk leaves the
+        # identity at the first point of the Lipschitz grid below 1 - tol;
+        # the peak grid, the points k * step below t_max and the one after
+        # them, then t_max itself, starts at the last point not after that
         lam = sd_k4.eigenvalues
-        rho = float(np.max(np.abs(lam)))
-        step = min(0.01, 0.1 / rho)
-        ts = np.arange(int(t_max / step) + 1) * step
-        weights = np.abs(sd_k4.eigenvectors) ** 2
-        vals = np.min(np.abs(np.exp(-1j * np.outer(ts, lam)) @ weights.T), axis=1)
-        exit_index = int(np.flatnonzero(vals < 1.0 - tol)[0])
-        vals[:exit_index] = -np.inf
-        padded = np.concatenate(([-np.inf], vals, [-np.inf]))
-        peak = (vals >= padded[:-2]) & (vals >= padded[2:]) & (vals >= 1.0 - tol - rho * step)
-        assert len(windows) == int(np.count_nonzero(peak)) > 0
+        step, margin = transfer._pgst_grid(lam)
+        exit_step = transfer._lipschitz_step(float(np.max(np.abs(lam))))
+        count = math.ceil(t_max / step)
+
+        def trace(ts):
+            return np.abs(np.exp(-1j * np.outer(ts, lam)).sum(axis=1)) / len(lam)
+
+        exit_grid = trace(np.arange(math.ceil(t_max / exit_step)) * exit_step)
+        t_exit = int(np.flatnonzero(exit_grid < 1.0 - tol)[0]) * exit_step
+        assert step > exit_step
+        vals = trace(np.arange(count + 1) * step)
+        end = float(trace([t_max])[0])
+        grid = vals[:count].copy()
+        grid[: math.floor(t_exit / step)] = -np.inf
+        left = np.concatenate(([-np.inf], grid[:-1]))
+        threshold = 1.0 - tol - margin
+        peak = (grid >= left) & (grid >= vals[1:]) & (grid >= threshold)
+        centers = [j * step for j in np.flatnonzero(peak)]
+        if end >= threshold and end >= grid[-1]:
+            centers.append(t_max)
+        assert len(centers) > 0
+        # every window stays after the exit point; the last window polishes
+        # the best grid point for the not-found answer
+        best = t_max if end > np.max(grid) else int(np.argmax(grid)) * step
+        expected = [(max(t_exit, t - step), min(t_max, t + step)) for t in centers + [best]]
+        np.testing.assert_allclose(windows, expected, rtol=0.0, atol=1e-12)
 
 
 class TestEigenbasisInvariance:
