@@ -13,8 +13,8 @@ and its neighbours (golden-section search where Newton's method fails).
 Periodicity starts that search where the walk leaves the identity, found
 on the finer Lipschitz grid.
 
-Every grid is evaluated by one factorized phase kernel.  Grid index k is
-written k = k0 + r with 0 <= r < _ROW, so that
+The searches and the fidelity scan evaluate their grids by one factorized
+phase kernel.  Grid index k is written k = k0 + r with 0 <= r < _ROW, so that
 exp(-i k h lambda) = exp(-i k0 h lambda) exp(-i r h lambda): the phases at
 the row starts k0 are computed directly (no recurrence, so no accumulated
 rounding), the inner phases times the coefficients are built once per search
@@ -24,7 +24,9 @@ d/_ROW complex exponentials plus one row of that product instead of d
 exponentials.  The grid is streamed in chunks that start at _FIRST_CHUNK
 points and double up to _CHUNK_BYTES of temporaries, so a search that finds
 an early answer stops early: its cost follows the answer time, not t_max,
-and its memory does not grow with t_max or n.
+and its memory does not grow with t_max or n.  Times, horizons and scan ends
+must keep t * max|lambda| within _MAX_PHASE.  The Kronecker search walks its
+own grid of mod-2*pi phase distances, sharing only the chunks and _GRID_CAP.
 """
 
 from __future__ import annotations
@@ -163,8 +165,9 @@ def _amplitude_at(lam: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
 
 def _check_phase_range(lam: np.ndarray, t: float, name: str) -> None:
     """Raise ValueError unless |t| * max|lam| <= _MAX_PHASE: beyond that,
-    float64 rounds the phases t * lambda by more than about 5e-7 rad."""
-    if abs(t) * float(np.max(np.abs(lam))) > _MAX_PHASE:
+    float64 rounds the phases t * lambda by more than about 5e-7 rad.  lam
+    ascends, so max|lam| is at one of its ends."""
+    if abs(t) * max(-float(lam[0]), float(lam[-1])) > _MAX_PHASE:
         raise ValueError(
             f"{name} * max|lambda| exceeds 2**32, where float64 phases lose about 5e-7 rad"
         )
@@ -185,10 +188,11 @@ def fidelity_scan(sd: SpectralDecomposition, a: int, b: int, t_max: float, sampl
     """Fidelity on a uniform grid over [0, t_max] including both endpoints.
 
     Returns an array of shape (samples, 2) with columns (t, fidelity).
-    t_max * max|lambda| must not exceed _MAX_PHASE.
+    t_max * max|lambda| must not exceed _MAX_PHASE, and samples must lie in
+    2.._GRID_CAP, checked before anything is allocated.
     """
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
+    if not 2 <= samples <= _GRID_CAP:
+        raise ValueError(f"samples must lie in 2..{_GRID_CAP}")
     if not 0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     _check_phase_range(sd.eigenvalues, t_max, "t_max")
@@ -226,32 +230,21 @@ def pst_check_at_time(
     a = _check_vertex(sd, a)
     b = _check_vertex(sd, b)
     f = fidelity(sd, a, b, t)
+    report = TransferReport(a, b, t, f, TransferKind.NOT_FOUND, max(0.0, 1.0 - f))
     if f >= 1.0 - tol:
-        mono, residual = nearest_monomial(evolution_operator(sd, t))
-        return TransferReport(
-            source=a,
-            target=b,
-            time=t,
-            fidelity=f,
-            kind=TransferKind.PERFECT_AT_TIME,
-            epsilon=max(0.0, 1.0 - f),
-            monomial=mono,
-            monomial_residual=residual,
-        )
-    return TransferReport(
-        source=a, target=b, time=t, fidelity=f,
-        kind=TransferKind.NOT_FOUND, epsilon=max(0.0, 1.0 - f),
-    )
+        report.kind = TransferKind.PERFECT_AT_TIME
+        report.monomial, report.monomial_residual = nearest_monomial(evolution_operator(sd, t))
+    return report
 
 
-def _golden_max(f, lo: float, hi: float, steps: int = _REFINE_STEPS) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi]; returns (argmax, max)."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(steps):
+    for _ in range(_REFINE_STEPS):
         # an argmax is only determined to about sqrt(machine epsilon)
         if b - a < 1e-9:
             break
@@ -320,58 +313,6 @@ def _grid_count(t_max: float, step: float) -> int:
     return count
 
 
-def _grid_candidate_search(
-    values_fn, point_bytes: int, t_max: float, step: float, threshold: float, refine_fn, end_fn,
-    first: int = 0,
-):
-    """Stream a uniform grid from index first, refine local maxima above
-    threshold in time order, and return the first refinement accepted by
-    refine_fn, with the best (t, value) seen anywhere for the not-found case.
-
-    The grid is the points k * step, first <= k, below t_max and then t_max
-    itself.  values_fn(start, stop) evaluates the objective at grid indices
-    [start, stop), each point taking point_bytes of temporaries, and
-    end_fn(t_max) at the horizon.  refine_fn(t_center, t_seed) -> result or
-    None, t_seed being the vertex of the parabola through the candidate and
-    its two neighbours; a non-None result stops the scan.  The point at
-    first has no left neighbour.  The last point below t_max is classified
-    against the grid point after it, so that a candidate's neighbours, and
-    so its refinement, do not depend on the horizon; t_max is a candidate
-    when it is at least the point before it.
-    """
-    count = _grid_count(t_max, step)
-    best_t, best_v = first * step, -math.inf
-    prev_tail = -math.inf  # value at the last index of the previous chunk
-    for start, stop in _grid_chunks(count, point_bytes, first):
-        # one-point lookahead so chunk-boundary maxima are classified correctly
-        vals = values_fn(start, stop + 1)
-        block = vals[: stop - start]
-        i = int(np.argmax(block))
-        if block[i] > best_v:
-            best_v = float(block[i])
-            best_t = (start + i) * step
-        left = np.empty_like(block)
-        left[0] = prev_tail
-        left[1:] = block[:-1]
-        right = vals[1:]
-        is_peak = (block >= left) & (block >= right) & (block >= threshold)
-        for j in np.flatnonzero(is_peak):
-            t = float((start + j) * step)
-            seed = _parabola_vertex(t, step, float(left[j]), float(block[j]), float(right[j]))
-            result = refine_fn(t, seed)
-            if result is not None:
-                return result, (best_t, best_v)
-        prev_tail = float(block[-1])
-    end = end_fn(t_max)
-    if end > best_v:
-        best_t, best_v = t_max, end
-    if end >= threshold and end >= prev_tail:
-        result = refine_fn(t_max, t_max)
-        if result is not None:
-            return result, (best_t, best_v)
-    return None, (best_t, best_v)
-
-
 def _lipschitz_step(rho: float) -> float:
     """The Lipschitz grid step min(0.01, 0.1/rho), and 0.01 for rho = 0."""
     return 0.1 / max(rho, 10.0)
@@ -416,12 +357,16 @@ def _peak_search(
     [t_first, t_max]: Newton's method on |s|^2 from the vertex of the
     parabola through the grid maximum and its neighbours, about three
     evaluations per peak, with golden-section search where it fails.  The
-    scan stops at the first accepted peak, so the cost follows the answer
-    time rather than t_max.
+    last point below t_max is classified against the grid point after it,
+    so a candidate's polish does not depend on the horizon; t_max is a
+    candidate when it is at least the point before it.  The scan stops at
+    the first accepted peak, so the cost follows the answer time rather
+    than t_max.
     Returns (t, |s(t)|, True) for that peak; otherwise (t, |s(t)|, False)
     for the best grid point or its polish, whichever is higher.
     """
     step, margin = _pgst_grid(lam)
+    threshold = level - margin
     amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
     derivs = np.stack([coeffs, -1j * lam * coeffs, -(lam * lam) * coeffs], axis=1)
 
@@ -430,22 +375,36 @@ def _peak_search(
         hi = min(t_max, t_center + step)
         return _newton_max(lam, derivs, min(max(t_seed, lo), hi), lo, hi)
 
-    def refine(t_center: float, t_seed: float):
-        t_best, f_best = polish(t_center, t_seed)
-        if f_best >= level and t_best > t_min:
-            return t_best, f_best
-        return None
-
-    hit, (grid_t, grid_f) = _grid_candidate_search(
-        amplitudes, point_bytes, t_max, step, level - margin, refine,
-        lambda t: float(_amplitude_at(lam, coeffs, t)), math.floor(t_first / step),
-    )
-    if hit is not None:
-        return *hit, True
-    t_best, f_best = polish(grid_t, grid_t)
-    if f_best < grid_f:
-        t_best, f_best = grid_t, grid_f
-    return t_best, f_best, False
+    first = math.floor(t_first / step)
+    best_t, best_f = first * step, -math.inf
+    prev_tail = -math.inf  # the left neighbour of a chunk's first point
+    for start, stop in _grid_chunks(_grid_count(t_max, step), point_bytes, first):
+        # one-point lookahead, so a chunk's last point has its right neighbour
+        vals = amplitudes(start, stop + 1)
+        block = vals[: stop - start]
+        i = int(np.argmax(block))
+        if block[i] > best_f:
+            best_t, best_f = (start + i) * step, float(block[i])
+        left = np.concatenate(([prev_tail], block[:-1]))
+        right = vals[1:]
+        for j in np.flatnonzero((block >= left) & (block >= right) & (block >= threshold)):
+            t = float((start + j) * step)
+            seed = _parabola_vertex(t, step, float(left[j]), float(block[j]), float(right[j]))
+            t_peak, f_peak = polish(t, seed)
+            if f_peak >= level and t_peak > t_min:
+                return t_peak, f_peak, True
+        prev_tail = float(block[-1])
+    end = float(_amplitude_at(lam, coeffs, t_max))
+    if end >= threshold and end >= prev_tail:
+        t_peak, f_peak = polish(t_max, t_max)
+        if f_peak >= level and t_peak > t_min:
+            return t_peak, f_peak, True
+    if end > best_f:
+        best_t, best_f = t_max, end
+    t_peak, f_peak = polish(best_t, best_t)
+    if f_peak < best_f:
+        return best_t, best_f, False
+    return t_peak, f_peak, False
 
 
 def pgst_search(
@@ -459,12 +418,14 @@ def pgst_search(
     margin M = rho*min(0.01, 0.1/rho), rho = max|lambda|, of the target are
     polished.  When nothing qualifies, the best grid point, polished, is
     reported as NOT_FOUND.  A spectrum of zero width makes the fidelity
-    constant, and the answer is time 0.
+    constant, and the answer is time 0.  t_max * max|lambda| must not
+    exceed _MAX_PHASE, as for fidelity at a single time.
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target_fidelity must lie in (0, 1)")
     if not 0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
+    _check_phase_range(sd.eigenvalues, t_max, "t_max")
     a = _check_vertex(sd, a)
     b = _check_vertex(sd, b)
     lam = sd.eigenvalues
@@ -490,27 +451,18 @@ def kronecker_time_search(target: KroneckerTarget) -> KroneckerSolution | None:
     phases = target.phases
     eps = target.epsilon
     max_freq = float(np.max(np.abs(freqs)))
-
-    def distances(t: float) -> np.ndarray:
-        r = np.mod(t * freqs - phases, _TWO_PI)
-        return np.minimum(r, _TWO_PI - r)
-
-    if max_freq == 0.0:
-        if bool(np.all(distances(target.t_min) < eps)):
-            ints = np.rint((target.t_min * freqs - phases) / _TWO_PI).astype(int)
-            return KroneckerSolution(float(target.t_min), [int(v) for v in ints])
-        return None
-
-    step = eps / (4.0 * max_freq)
-    count = int(math.floor((target.t_max - target.t_min) / step)) + 1
-    if count > _GRID_CAP:
-        raise ValueError("time grid too large; shrink the horizon or raise epsilon")
+    if max_freq == 0.0:  # the phases do not move: only t_min is tested
+        step, count = 0.0, 1
+    else:
+        step = eps / (4.0 * max_freq)
+        count = int(math.floor((target.t_max - target.t_min) / step)) + 1
+        if count > _GRID_CAP:
+            raise ValueError("time grid too large; shrink the horizon or raise epsilon")
     for start, stop in _grid_chunks(count, 8 * len(freqs)):
         ts = target.t_min + np.arange(start, stop) * step
         r = np.mod(np.outer(ts, freqs) - phases, _TWO_PI)
         dist = np.minimum(r, _TWO_PI - r)
-        ok = np.all(dist < eps, axis=1)
-        hits = np.flatnonzero(ok)
+        hits = np.flatnonzero(np.all(dist < eps, axis=1))
         if len(hits):
             t = float(ts[hits[0]])
             ints = np.rint((t * freqs - phases) / _TWO_PI).astype(int)
@@ -535,10 +487,12 @@ def periodicity_search(
     there, and no polish window reaches back before it.  If the walk never
     leaves on that grid or at t_max (adjacency a multiple of I, or a short
     horizon), the answer is the Lipschitz step, or tol + step when the step
-    is at most tol, and None when that lies past t_max.
+    is at most tol, and None when that lies past t_max.  t_max *
+    max|lambda| must not exceed _MAX_PHASE.
     """
     if not 0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
+    _check_phase_range(sd.eigenvalues, t_max, "t_max")
     check_tolerance(tol, upper=1.0)
     lam = sd.eigenvalues
     coeffs = np.full(len(lam), 1.0 / len(lam))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hermwalk import load_graph
+from hermwalk import HermitianGraph, construct_cp, load_graph, save_graph, transfer
 from hermwalk.cli import main
 
 
@@ -288,6 +288,29 @@ class TestTransfer:
     )
     def test_time_beyond_phase_precision_exit_2(self, c3_file, capsys, mode):
         code, out, err = run(capsys, "transfer", c3_file, "0", "1", *mode)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
+    def test_pgst_horizon_beyond_phase_precision_exit_2(self, tmp_path, capsys):
+        # C_5 + 1e7 I: the grid is short, but t_max * max|lambda| passes 2**32
+        path = str(tmp_path / "shifted_c5.hg")
+        save_graph(HermitianGraph(5, construct_cp(5).adjacency + 1e7 * np.eye(5)), path)
+        code, out, err = run(
+            capsys, "transfer", path, "0", "1", "pgst", "--target", "0.9999999", "--tmax", "1e4"
+        )
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("samples", [10**13, transfer._GRID_CAP + 1], ids=["1e13", "cap+1"])
+    def test_scan_samples_over_cap_exit_2(self, c3_file, tmp_path, capsys, monkeypatch, samples):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan grid was allocated")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        code, out, err = run(
+            capsys, "transfer", c3_file, "0", "1", "scan",
+            "--samples", str(samples), "-o", str(tmp_path / "x.csv"),
+        )
         assert code == 2
         assert err.startswith("error:") and out == ""
 

@@ -50,6 +50,11 @@ def sd_k4():
     return hermitian_eigendecomposition(construct_k4().adjacency)
 
 
+@pytest.fixture(scope="module")
+def sd_shifted_c5():
+    return hermitian_eigendecomposition(construct_cp(5).adjacency + 1e7 * np.eye(5))
+
+
 def dense_scan_max(sd, a, b, t_lo, t_hi, samples=20001):
     """Independent oracle: brute-force the fidelity maximum on a fine grid."""
     lam = sd.eigenvalues
@@ -251,6 +256,15 @@ class TestPgstSearch:
         with pytest.raises(ValueError):
             pgst_search(sd_c3, 0, 1, 0.9, -1.0)
 
+    def test_horizon_beyond_phase_precision(self, sd_shifted_c5):
+        # within the limit the answer is a time that fidelity can evaluate;
+        # |s| does not depend on the shift, but t_max * 1e7 passes 2**32
+        report = pgst_search(sd_shifted_c5, 0, 1, 0.9999, 400.0)
+        assert report.kind is TransferKind.PRETTY_GOOD
+        assert fidelity(sd_shifted_c5, 0, 1, report.time) >= 0.9999
+        with pytest.raises(ValueError, match=r"t_max \* max\|lambda\| exceeds 2\*\*32"):
+            pgst_search(sd_shifted_c5, 0, 1, 0.9999999, 1e4)
+
 
 class TestKroneckerTimeSearch:
     def test_single_frequency(self):
@@ -310,6 +324,20 @@ class TestKroneckerTimeSearch:
             with pytest.raises(InvalidTarget):
                 KroneckerTarget(frequencies=[1.0], phases=[0.0], epsilon=0.1, t_max=t_max)
 
+    def test_all_zero_frequencies(self):
+        # the phases never move, so only t_min is tested
+        zero = [0.0, 0.0, 0.0]
+        phases = [2 * math.pi, -4 * math.pi + 0.5e-3, 0.0]
+        sol = kronecker_time_search(
+            KroneckerTarget(frequencies=zero, phases=phases, epsilon=1e-3, t_min=2.5, t_max=10.0)
+        )
+        assert sol is not None
+        assert sol.t == 2.5
+        assert sol.integers == [-1, 2, 0]
+        off = [0.0, 2e-3, 2 * math.pi]
+        target = KroneckerTarget(frequencies=zero, phases=off, epsilon=1e-3)
+        assert kronecker_time_search(target) is None
+
 
 class TestPeriodicitySearch:
     def test_c3_minimal_period(self, sd_c3):
@@ -331,6 +359,10 @@ class TestPeriodicitySearch:
         t = periodicity_search(sd_c3, 10.0)
         for k in [2, 3]:
             assert min(fidelity(sd_c3, a, a, k * t) for a in range(3)) >= 1 - 1e-6
+
+    def test_horizon_beyond_phase_precision(self, sd_shifted_c5):
+        with pytest.raises(ValueError, match=r"t_max \* max\|lambda\| exceeds 2\*\*32"):
+            periodicity_search(sd_shifted_c5, 1e4)
 
     @pytest.mark.parametrize("t_max", [math.inf, math.nan])
     def test_non_finite_horizon_rejected(self, sd_c3, t_max):
@@ -442,37 +474,48 @@ class TestPhaseKernel:
     @pytest.mark.parametrize(
         "point_bytes", [16, 16 * 64, transfer._CHUNK_BYTES // 100], ids=["m1", "m64", "row-chunks"]
     )
-    def test_chunked_peaks_match_whole_grid(self, rng, point_bytes):
-        # refinement order, parabola seeds and peak classification, including
-        # the lookahead at chunk boundaries and the horizon sample, must not
-        # depend on how the grid is chunked
-        step, count, threshold = 0.01, 9000, 0.5
+    def test_chunked_peaks_match_whole_grid(self, rng, monkeypatch, point_bytes):
+        # polish order, windows and parabola seeds, and peak classification,
+        # including the lookahead at chunk boundaries and the horizon sample,
+        # must not depend on how the grid is chunked
+        step, count, level = 0.01, 9000, 0.5
         vals = rng.random(count + 1)  # vals[count] lies past the horizon
         t_max, end = (count - 0.5) * step, 0.75
         calls = []
 
-        def refine(t, seed):
-            calls.append((t, seed))
-            return None
+        def newton(lam, derivs, t0, lo, hi):
+            calls.append((t0, lo, hi))
+            return t0, -math.inf  # reject every peak
 
-        hit, (best_t, best_v) = transfer._grid_candidate_search(
-            lambda start, stop: vals[start:stop], point_bytes, t_max,
-            step, threshold, refine, lambda t: end,
+        monkeypatch.setattr(transfer, "_pgst_grid", lambda lam: (step, 0.0))
+        monkeypatch.setattr(
+            transfer, "_phase_kernel",
+            lambda lam, coeffs, h: (lambda start, stop: vals[start:stop], point_bytes),
         )
+        monkeypatch.setattr(transfer, "_amplitude_at", lambda lam, coeffs, t: end)
+        monkeypatch.setattr(transfer, "_newton_max", newton)
+        result = transfer._peak_search(np.array([0.0, 1.0]), np.array([0.5, 0.5]), t_max, level)
+
+        def window(t_center, t_seed):
+            lo, hi = max(0.0, t_center - step), min(t_max, t_center + step)
+            return min(max(t_seed, lo), hi), lo, hi
+
         grid = vals[:count]
         left = np.concatenate(([-np.inf], grid[:-1]))
         right = vals[1:]
-        peak = (grid >= left) & (grid >= right) & (grid >= threshold)
+        peak = (grid >= left) & (grid >= right) & (grid >= level)
+        vertex = transfer._parabola_vertex
         expected = [
-            (float(j * step), transfer._parabola_vertex(j * step, step, left[j], grid[j], right[j]))
+            window(float(j * step), vertex(j * step, step, left[j], grid[j], right[j]))
             for j in np.flatnonzero(peak)
         ]
-        if end >= threshold and end >= grid[-1]:
-            expected.append((t_max, t_max))
-        assert hit is None
-        assert calls == expected
+        if end >= level and end >= grid[-1]:
+            expected.append(window(t_max, t_max))
         grid_best = (int(np.argmax(grid)) * step, float(np.max(grid)))
-        assert (best_t, best_v) == (grid_best if grid_best[1] >= end else (t_max, end))
+        best_t, best_f = grid_best if grid_best[1] >= end else (t_max, end)
+        expected.append(window(best_t, best_t))  # the NOT_FOUND polish of the best point
+        assert calls == expected
+        assert result == (best_t, best_f, False)
 
     @pytest.mark.parametrize("offset", [-1, 0])
     def test_chunk_boundary_peak_found(self, offset):
