@@ -6,10 +6,12 @@ of a linear bijection of the integers mod n:
 
     lambda_k = alpha + beta * (j*k + c_k * n),   gcd(j, n) = 1.
 
-The certificate recovers (alpha, beta, j, c_k) from floating-point
-eigenvalues by rational reconstruction of eigenvalue-difference ratios,
-and the transfer schedule it implies is validated numerically before the
-graph is declared universal.
+The eigenvalues are read in Fourier order straight off a switching
+automorphism that acts as an n-cycle, whose eigenvectors A shares, so a
+shift or scale of A moves only alpha and beta.  The certificate recovers
+(alpha, beta, j, c_k) by rational reconstruction of eigenvalue-difference
+ratios, and the transfer schedule it implies is validated numerically
+before the graph is declared universal.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnsupportedGraph
-from .linalg import hermitian_eigendecomposition, max_abs
+from .linalg import hermitian_eigendecomposition
 from .numbertheory import modular_inverse, rational_reconstruct
-from .spectra import circulant_eigenvalues
 from .swaut import MonomialMatrix, SwitchingGroup, _cycles, enumerate_switching_automorphisms
 from .transfer import TransferKind, TransferReport, pst_check_at_time
 
@@ -146,36 +147,31 @@ def _fourier_ordered_eigenvalues(adj: np.ndarray, element: MonomialMatrix):
     """Eigenvalues of adj in the Fourier order of the given n-cycle element,
     together with the relabeling map new index -> old vertex.
 
-    Relabel vertices so the element's permutation becomes the standard
-    shift, then strip its phases with a diagonal conjugation; what remains
-    commutes with the plain cyclic shift and is therefore a circulant whose
-    first row yields the eigenvalues in Fourier order.
+    On the orbit v_0 = 0, v_1, ... of the element, the vectors
+    f_k(v_j) = w_j omega^(jk), omega = exp(2 pi i/n), with w_0 = 1,
+    w_{j+1} = phase(v_j) w_j/root and root an n-th root of the cycle gain,
+    are eigenvectors of the element with n distinct eigenvalues.  adj
+    commutes with it, so each f_k is an eigenvector of adj, however
+    degenerate adj's spectrum, and lambda_k = f_k^H adj f_k / n.
     """
     n = adj.shape[0]
     old_of_new = list(_cycles(element.perm)[0])  # the orbit of vertex 0
-    relabeled = adj[np.ix_(old_of_new, old_of_new)]
     phases = element.phases[old_of_new]
-    gain = complex(np.prod(phases))
-    root = gain ** (1.0 / n)
-    w = np.ones(n, dtype=complex)
-    for k in range(n - 1):
-        w[k + 1] = phases[k] * w[k] / root
-    b = np.conj(w)[:, None] * relabeled * w[None, :]
-    # b must now be circulant; verify before trusting the first row
-    first = b[0].copy()
-    idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
-    if max_abs(b - first[idx]) > 1e-7 * max(1.0, max_abs(adj)):
-        raise UnsupportedGraph("cycle element did not reduce the graph to a circulant")
-    return circulant_eigenvalues(first), old_of_new
+    root = complex(np.prod(phases)) ** (1.0 / n)
+    w = np.concatenate(([1.0], np.cumprod(phases[:-1] / root)))
+    f = np.empty((n, n), dtype=complex)
+    f[old_of_new] = w[:, None] * np.exp(1j * _TWO_PI / n * np.outer(range(n), range(n)))
+    return np.einsum("jk,jl,lk->k", f.conj(), adj, f).real / n, old_of_new
 
 
 def upst_certify(g, group: SwitchingGroup | None = None) -> UpstReport:
     """Decide universal perfect state transfer for a graph that is
     switching-equivalent to a circulant.
 
-    The switching automorphism group is enumerated and searched for an
-    element whose permutation is a single n-cycle; without one the graph is
-    not circulant up to switching and certification is refused
+    The switching automorphism group is enumerated and its first element
+    (by permutation) that is a single n-cycle is taken: the standard shift
+    on a plain circulant.  Without one the graph is not circulant up to
+    switching and certification is refused
     (UnsupportedGraph).  On success the spectral certificate is attempted
     and, if issued, the full transfer schedule t, 2t, ..., nt is validated
     to fidelity 1 - 1e-6 on the actual graph.  A caller that has already
@@ -187,14 +183,7 @@ def upst_certify(g, group: SwitchingGroup | None = None) -> UpstReport:
         raise UnsupportedGraph(f"group enumeration is limited to n <= {_ENUM_CAP}")
     if group is None:
         group = enumerate_switching_automorphisms(g)
-    cycle = None
-    for e in group.elements:
-        if len(_cycles(e.perm)) == 1:
-            if e.perm == tuple((k + 1) % n for k in range(n)):
-                cycle = e  # standard shift needs no relabeling; prefer it
-                break
-            if cycle is None:
-                cycle = e
+    cycle = next((e for e in group.elements if len(_cycles(e.perm)) == 1), None)
     if cycle is None:
         raise UnsupportedGraph("no switching automorphism acts as an n-cycle")
     eigs, old_of_new = _fourier_ordered_eigenvalues(adj, cycle)

@@ -182,10 +182,13 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     zero pattern, magnitude and phase, and every entry of the defining
     identity is verified before a complete map is accepted.  Nothing is
     searched unless the rows of the two matrices pair up one to one.
+    The magnitude tolerance 1e-9 and phase_tol are relative: both are
+    multiplied by max(1, max|A_uv|) over the two matrices.
     Deterministic: targets are tried in ascending order.
     """
     n = a_from.shape[0]
-    mag_tol = 1e-9
+    scale = max(1.0, float(np.max(np.abs(a_from))), float(np.max(np.abs(a_to))))
+    mag_tol, phase_tol = 1e-9 * scale, phase_tol * scale
     # a vertex can only go to a target with the same diagonal entry and sorted row magnitudes
     mags_f, mags_t = (np.sort(np.abs(a - np.diag(np.diag(a))), axis=1) for a in (a_from, a_to))
     alike = (np.abs(np.diag(a_from)[:, None] - np.diag(a_to)) <= mag_tol) & np.all(
@@ -258,7 +261,8 @@ def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGr
     """Enumerate all monomials commuting with g.adjacency, modulo global phase.
 
     The support graph must be connected; otherwise the phase propagation is
-    underdetermined and the projective group is not finite.
+    underdetermined and the projective group is not finite.  phase_tol is
+    relative to max(1, max|A_uv|), so scaling A up does not change the group.
     """
     adj = np.asarray(g.adjacency, dtype=complex)
     n = adj.shape[0]
@@ -290,7 +294,8 @@ def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGr
 
 
 def is_switching_isomorphic(g1, g2, phase_tol: float = 1e-9) -> MonomialMatrix | None:
-    """Witness M with A(g2) = M^dagger A(g1) M, or None if no monomial works."""
+    """Witness M with A(g2) = M^dagger A(g1) M, or None if no monomial works;
+    phase_tol is relative to max(1, max|A_uv|) over both graphs."""
     a1 = np.asarray(g1.adjacency, dtype=complex)
     a2 = np.asarray(g2.adjacency, dtype=complex)
     if a1.shape != a2.shape:

@@ -3,15 +3,16 @@
 Fidelity |<b| exp(-itA) |a>| is evaluated spectrally.  The transfer and
 periodicity searches are one peak search on |s(t)| = |sum_k c_k
 exp(-i t lambda_k)|: c_k = <b|z_k><z_k|a> for transfer from a to b, and
-c_k = 1/n for periodicity, where |s| = |tr U(t)|/n.  The search walks a
-uniform time grid whose step the curvature bound |s''| <= rho_c**2 allows at
-an interior maximum (rho_c the half-width of the spectrum) within the
-Lipschitz margin of the step min(0.01, 0.1/max|lambda|), samples t_max
+c_k = 1/n for periodicity, where |s| = |tr U(t)|/n.  |s| ignores a shift
+A -> A + cI, so the searches centre the spectrum and take every step from
+its half-width rho_c alone.  The search walks a uniform time grid whose
+step sqrt(2M)/rho_c the curvature bound |s''| <= rho_c**2 allows at an
+interior maximum within the margin M = min(0.01 rho_c, 0.1), samples t_max
 itself as its last point, and polishes peaks, earliest first, by Newton's
 method on |s(t)|^2 from the vertex of the parabola through the grid maximum
 and its neighbours (golden-section search where Newton's method fails).
 Periodicity starts that search where the walk leaves the identity, found
-on the finer Lipschitz grid.
+on the finer Lipschitz grid min(0.01, 0.1/rho_c).
 
 The searches and the fidelity scan evaluate their grids by one factorized
 phase kernel.  Grid index k is written k = k0 + r with 0 <= r < _ROW, so that
@@ -319,24 +320,12 @@ def _lipschitz_step(rho: float) -> float:
 
 
 def _pgst_grid(lam: np.ndarray) -> tuple[float, float]:
-    """The transfer-search grid for a spectrum: (step, margin).
-
-    The margin M = rho * min(0.01, 0.1/rho), rho = max|lambda|, is the
-    Lipschitz margin of the grid step min(0.01, 0.1/rho).  The step is
-    sqrt(2M)/rho_c, rho_c = (max lambda - min lambda)/2, when that is
-    longer: shifting the spectrum by its midpoint leaves |s| unchanged and
-    bounds |s''| by rho_c**2 * sum|c_k| <= rho_c**2 (Cauchy-Schwarz), and
-    at an interior maximum the slope of |s| is zero, so every time within
-    a step of a peak at or above the target lies within M of the target.
-    A spectrum of zero width keeps the Lipschitz step.
-    """
-    rho = float(np.max(np.abs(lam)))
-    lipschitz_step = _lipschitz_step(rho)
-    margin = rho * lipschitz_step
-    rho_c = 0.5 * float(np.max(lam) - np.min(lam))
-    if rho_c == 0.0:  # |s| is constant
-        return lipschitz_step, margin
-    return max(lipschitz_step, math.sqrt(2.0 * margin) / rho_c), margin
+    """The peak-search grid (step, margin) for an ascending spectrum of
+    half-width rho_c = (max lambda - min lambda)/2 > 0: margin
+    M = min(0.01 rho_c, 0.1) and step sqrt(2M)/rho_c."""
+    rho_c = 0.5 * float(lam[-1] - lam[0])
+    margin = min(0.01 * rho_c, 0.1)
+    return math.sqrt(2.0 * margin) / rho_c, margin
 
 
 def _peak_search(
@@ -344,36 +333,44 @@ def _peak_search(
     t_min: float = -math.inf, t_first: float = 0.0,
 ) -> tuple[float, float, bool]:
     """Earliest time t > t_min in [t_first, t_max] with
-    |s(t)| = |exp(-i t lam) @ coeffs| >= level, for sum|coeffs| <= 1.
+    |s(t)| = |exp(-i t lam) @ coeffs| >= level, for sum|coeffs| <= 1 and
+    lam ascending, of nonzero width.
 
-    The grid and its margin M come from _pgst_grid.  Since |s''| <= rho_c**2
-    once the spectrum is shifted to its midpoint, every time within a step
-    of an interior peak at or above level has |s| at least level - M, so
-    the grid cannot jump over a qualifying peak.  That bound does not hold
-    at the horizon, so t_max itself is sampled as the grid's last point.
-    The grid starts at its last point at or before t_first.  Grid local
-    maxima at or above level - M are polished, earliest first, by
-    _newton_max on the window of one grid step either side, clipped to
-    [t_first, t_max]: Newton's method on |s|^2 from the vertex of the
-    parabola through the grid maximum and its neighbours, about three
-    evaluations per peak, with golden-section search where it fails.  The
-    last point below t_max is classified against the grid point after it,
-    so a candidate's polish does not depend on the horizon; t_max is a
-    candidate when it is at least the point before it.  The scan stops at
-    the first accepted peak, so the cost follows the answer time rather
-    than t_max.
+    lam is centred on its midpoint, which leaves |s| unchanged, and the grid
+    and its margin M come from _pgst_grid.  Since |s''| <= rho_c**2 for the
+    centred spectrum (Cauchy-Schwarz) and |s| is flat at an interior
+    maximum, every time within a step of an interior peak at or above level
+    has |s| at least level - M, so the grid cannot jump over a qualifying
+    peak.  That bound does not hold at the horizon, so t_max itself is
+    sampled as the grid's last point.  The grid starts at its last point at
+    or before t_first.  Grid local maxima at or above level - M are
+    polished, earliest first, by _newton_max on the window of one grid step
+    either side, clipped to [t_first, t_max]: Newton's method on |s|^2 from
+    the vertex of the parabola through the grid maximum and its neighbours,
+    with golden-section search where it fails.  The last point below t_max
+    is classified against the grid point after it, so a candidate's polish
+    does not depend on the horizon; t_max is a candidate when it is at least
+    the point before it.  The scan stops at the first accepted peak, so the
+    cost follows the answer time rather than t_max.
     Returns (t, |s(t)|, True) for that peak; otherwise (t, |s(t)|, False)
-    for the best grid point or its polish, whichever is higher.
+    for the highest of the best grid point (t_max included), its polish and
+    every other polish that ended after t_min.
     """
+    lam = lam - 0.5 * (lam[0] + lam[-1])
     step, margin = _pgst_grid(lam)
     threshold = level - margin
     amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
     derivs = np.stack([coeffs, -1j * lam * coeffs, -(lam * lam) * coeffs], axis=1)
+    peak_t, peak_f = t_first, -math.inf  # the highest polish after t_min
 
-    def polish(t_center: float, t_seed: float) -> tuple[float, float]:
+    def polish(t_center: float, t_seed: float) -> bool:  # True if it qualifies
+        nonlocal peak_t, peak_f
         lo = max(t_first, t_center - step)
         hi = min(t_max, t_center + step)
-        return _newton_max(lam, derivs, min(max(t_seed, lo), hi), lo, hi)
+        t, f = _newton_max(lam, derivs, min(max(t_seed, lo), hi), lo, hi)
+        if t > t_min and f > peak_f:
+            peak_t, peak_f = t, f
+        return t > t_min and f >= level
 
     first = math.floor(t_first / step)
     best_t, best_f = first * step, -math.inf
@@ -390,21 +387,16 @@ def _peak_search(
         for j in np.flatnonzero((block >= left) & (block >= right) & (block >= threshold)):
             t = float((start + j) * step)
             seed = _parabola_vertex(t, step, float(left[j]), float(block[j]), float(right[j]))
-            t_peak, f_peak = polish(t, seed)
-            if f_peak >= level and t_peak > t_min:
-                return t_peak, f_peak, True
+            if polish(t, seed):
+                return peak_t, peak_f, True
         prev_tail = float(block[-1])
     end = float(_amplitude_at(lam, coeffs, t_max))
-    if end >= threshold and end >= prev_tail:
-        t_peak, f_peak = polish(t_max, t_max)
-        if f_peak >= level and t_peak > t_min:
-            return t_peak, f_peak, True
+    if end >= threshold and end >= prev_tail and polish(t_max, t_max):
+        return peak_t, peak_f, True
     if end > best_f:
         best_t, best_f = t_max, end
-    t_peak, f_peak = polish(best_t, best_t)
-    if f_peak < best_f:
-        return best_t, best_f, False
-    return t_peak, f_peak, False
+    polish(best_t, best_t)
+    return (best_t, best_f, False) if peak_f < best_f else (peak_t, peak_f, False)
 
 
 def pgst_search(
@@ -414,12 +406,11 @@ def pgst_search(
     target_fidelity: _peak_search on the coefficients <b|z_k><z_k|a>.
 
     The grid step is sqrt(2M)/rho_c, rho_c = (max lambda - min lambda)/2,
-    or min(0.01, 0.1/rho) if that is longer, and grid peaks within the
-    margin M = rho*min(0.01, 0.1/rho), rho = max|lambda|, of the target are
-    polished.  When nothing qualifies, the best grid point, polished, is
-    reported as NOT_FOUND.  A spectrum of zero width makes the fidelity
-    constant, and the answer is time 0.  t_max * max|lambda| must not
-    exceed _MAX_PHASE, as for fidelity at a single time.
+    and grid peaks within M = min(0.01 rho_c, 0.1) of the target are
+    polished, so the answer does not change under A -> A + cI.  Otherwise
+    the NOT_FOUND report is the highest polished peak or best grid point.
+    A spectrum of zero width makes the fidelity constant, and the answer is
+    time 0.  t_max * max|lambda| must not exceed _MAX_PHASE.
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target_fidelity must lie in (0, 1)")
@@ -482,9 +473,10 @@ def periodicity_search(
     it with the same grid, margin, horizon sample and Newton polish.
     Because U(t) -> I continuously, the walk starts inside the identity
     neighborhood.  It leaves at the first point where |tr U|/n < 1 - tol on
-    the Lipschitz grid min(0.01, 0.1/max|lambda|), finer than the peak
-    grid so that a brief dip is not stepped over; the peak search starts
-    there, and no polish window reaches back before it.  If the walk never
+    the Lipschitz grid min(0.01, 0.1/rho_c) of the centred spectrum, finer
+    than the peak grid so that a brief dip is not stepped over, and the
+    peak search starts there; no polish window reaches back before it, and
+    the answer does not change under A -> A + cI.  If the walk never
     leaves on that grid or at t_max (adjacency a multiple of I, or a short
     horizon), the answer is the Lipschitz step, or tol + step when the step
     is at most tol, and None when that lies past t_max.  t_max *
@@ -494,10 +486,10 @@ def periodicity_search(
         raise ValueError("t_max must be positive and finite")
     _check_phase_range(sd.eigenvalues, t_max, "t_max")
     check_tolerance(tol, upper=1.0)
-    lam = sd.eigenvalues
+    lam = sd.eigenvalues - 0.5 * (sd.eigenvalues[0] + sd.eigenvalues[-1])
     coeffs = np.full(len(lam), 1.0 / len(lam))
     level = 1.0 - tol
-    step = _lipschitz_step(float(np.max(np.abs(lam))))
+    step = _lipschitz_step(0.5 * float(lam[-1] - lam[0]))
     amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
     for start, stop in _grid_chunks(_grid_count(t_max, step), point_bytes):
         below = np.flatnonzero(amplitudes(start, stop) < level)

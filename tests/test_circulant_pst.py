@@ -7,6 +7,7 @@ import pytest
 from hermwalk import (
     CertificateFailure,
     HermitianGraph,
+    MonomialMatrix,
     NoCertificate,
     PstCertificate,
     circulant,
@@ -22,7 +23,11 @@ from hermwalk import (
     rational_reconstruct,
     upst_certify,
 )
+from hermwalk import circulant_pst
 from hermwalk.errors import UnsupportedGraph
+from hermwalk.swaut import _cycles
+
+from conftest import random_hermitian_circulant_weights
 
 SQRT3 = math.sqrt(3.0)
 
@@ -317,3 +322,69 @@ class TestUpstCertify:
         assert np.allclose(lam_fourier, [0.0, SQRT3, -SQRT3], atol=1e-12)
         report = upst_certify(construct_cp(3))
         assert report.universal
+
+
+def switched_relabeled(adjacency, rng):
+    """M^dagger A M for a random monomial M, made exactly Hermitian so that
+    scaling it keeps it Hermitian."""
+    n = len(adjacency)
+    m = MonomialMatrix(tuple(int(v) for v in rng.permutation(n)), np.exp(2j * np.pi * rng.random(n)))
+    a = m.to_matrix().conj().T @ adjacency @ m.to_matrix()
+    return (a + a.conj().T) / 2.0
+
+
+def first_n_cycle(g):
+    return next(e for e in enumerate_switching_automorphisms(g).elements if len(_cycles(e.perm)) == 1)
+
+
+class TestFourierOrderedEigenvalues:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_circulant_oracle(self, rng, n):
+        # on a plain circulant the chosen element is the standard shift and
+        # the order is exactly that of circulant_eigenvalues; after switching
+        # and relabeling it is the same up to k -> a*k + b (mod n), since the
+        # element may be another generator and the cycle-gain root another one
+        for w in [random_hermitian_circulant_weights(rng, n)] + ([[0, 1, 0, 1]] if n == 4 else []):
+            oracle = circulant_eigenvalues(w)
+            tol = 1e-10 * max(1.0, float(np.max(np.abs(oracle))))
+            g = circulant(w)
+            element = first_n_cycle(g)
+            assert element.perm == tuple((k + 1) % n for k in range(n))
+            lam, old_of_new = circulant_pst._fourier_ordered_eigenvalues(g.adjacency, element)
+            assert old_of_new == list(range(n))
+            assert float(np.max(np.abs(lam - oracle))) <= tol
+            h = HermitianGraph(n=n, adjacency=switched_relabeled(g.adjacency, rng))
+            lam, _ = circulant_pst._fourier_ordered_eigenvalues(h.adjacency, first_n_cycle(h))
+            k = np.arange(n)
+            assert any(
+                float(np.max(np.abs(lam - oracle[(a * k + b) % n]))) <= tol
+                for a in range(1, n)
+                if math.gcd(a, n) == 1
+                for b in range(n)
+            )
+
+
+class TestUpstScaleInvariance:
+    # the universal-PST form lambda_k = alpha + beta(jk + c_k n) survives
+    # scaling; the certificate must too, with beta scaled along
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: construct_cp(3).adjacency,
+            lambda: circulant_from_fourier_eigenvalues(
+                [0.5 * (3 * k + c * 7) for k, c in enumerate([0, 1, -1, 0, 2, 0, -1])]
+            ).adjacency,
+        ],
+        ids=["C3", "upst-n7"],
+    )
+    def test_certificate_scales(self, rng, make):
+        a = switched_relabeled(make(), rng)
+        n = len(a)
+        reports = {s: upst_certify(HermitianGraph(n=n, adjacency=s * a)) for s in (1e-3, 1.0, 1e6, 1e8)}
+        base = reports[1.0]
+        assert base.universal
+        for s, r in reports.items():
+            assert r.universal
+            assert (r.certificate.j, r.certificate.c) == (base.certificate.j, base.certificate.c)
+            assert r.cycle_element.perm == base.cycle_element.perm
+            assert r.certificate.beta / s == pytest.approx(base.certificate.beta, rel=1e-12)

@@ -125,6 +125,19 @@ class TestAnalyze:
         assert "order=1440 abelian=False cyclic=False" in out
         assert "upst: Unsupported" in out
 
+    def test_scaled_switched_c3_certified(self, tmp_path, capsys):
+        # C3 switched by a phase and scaled by 1e6: the switching search and
+        # the certificate must read the same group and spectral form as at
+        # scale 1, not stop on absolute thresholds
+        d = np.diag(np.exp(1j * np.array([0.0, 0.7, -1.9])))
+        a = d.conj().T @ construct_cp(3).adjacency @ d
+        path = str(tmp_path / "c3-scaled.hg")
+        save_graph(HermitianGraph(n=3, adjacency=1e6 * (a + a.conj().T) / 2), path)
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 0 and err == ""
+        assert "swaut: order=3" in out
+        assert "upst: UniversalPST j=1" in out
+
     def test_disconnected_support_exit_0(self, tmp_path, capsys):
         # two K2 components: no switching-automorphism search, no certificate
         path = str(tmp_path / "2k2.hg")

@@ -295,6 +295,22 @@ class TestEnumeration:
         assert e1 == e2 == sorted(e1)
 
 
+class TestScaleInvariance:
+    @pytest.mark.parametrize("scale", [1e-3, 1e6, 1e8])
+    def test_switched_c5_group_survives_scaling(self, scale):
+        # the tolerances scale with max|A_uv|, so scaling A keeps the group
+        a = switched(construct_cp(5), 3).adjacency
+        a = (a + a.conj().T) / 2
+        base = enumerate_switching_automorphisms(HermitianGraph(n=5, adjacency=a))
+        group = enumerate_switching_automorphisms(HermitianGraph(n=5, adjacency=scale * a))
+        assert group.order == base.order == 5
+        assert [e.perm for e in group.elements] == [e.perm for e in base.elements]
+        assert is_switching_isomorphic(
+            HermitianGraph(n=5, adjacency=scale * construct_cp(5).adjacency),
+            HermitianGraph(n=5, adjacency=scale * a),
+        ) is not None
+
+
 class TestStructureReport:
     def test_c3_clean(self):
         group = enumerate_switching_automorphisms(construct_cp(3))

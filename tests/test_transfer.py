@@ -873,3 +873,57 @@ class TestPgstOracle:
         report = pgst_search(sd, 0, 1, 0.999, 1.55)
         assert report.kind is TransferKind.PRETTY_GOOD
         assert (report.time, report.fidelity) == (1.55, fidelity(sd, 0, 1, 1.55))
+
+
+class TestShiftInvariance:
+    # |<b| exp(-it(A + cI)) |a>| = |<b| exp(-itA) |a>| and likewise |tr U|, so
+    # a diagonal shift must leave every search answer where it was
+    @staticmethod
+    def _pair(adjacency, shift=1e3):
+        n = len(adjacency)
+        return hermitian_eigendecomposition(adjacency), hermitian_eigendecomposition(
+            adjacency + shift * np.eye(n)
+        )
+
+    @pytest.mark.parametrize(
+        "adjacency, target, t_max",
+        [
+            (construct_cp(5).adjacency, 0.999, 200.0),
+            (construct_cp(5).adjacency, 0.9999999, 400.0),
+            (construct_k4().adjacency, 0.999, 100.0),
+            (hadamard_graph(2, np.arange(4) / 4).adjacency, 0.95, 300.0),
+        ],
+        ids=["C5", "C5-not-found", "K4", "H2"],
+    )
+    def test_pgst_search(self, adjacency, target, t_max):
+        sd, shifted = self._pair(adjacency)
+        for a in range(sd.n):
+            for b in range(sd.n):
+                if a == b:
+                    continue
+                base = pgst_search(sd, a, b, target, t_max)
+                moved = pgst_search(shifted, a, b, target, t_max)
+                assert moved.kind is base.kind
+                assert abs(moved.time - base.time) <= 1e-8
+                assert abs(moved.fidelity - base.fidelity) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "adjacency", [construct_cp(3).adjacency, construct_k4().adjacency], ids=["C3", "K4"]
+    )
+    def test_periodicity_search(self, adjacency):
+        sd, shifted = self._pair(adjacency)
+        base, moved = periodicity_search(sd, 100.0), periodicity_search(shifted, 100.0)
+        assert (base is None) == (moved is None)
+        if base is not None:
+            assert abs(moved - base) <= 1e-8
+
+    def test_not_found_reports_best_polished_peak(self, sd_c5):
+        # C5 never reaches 1 - 1e-7 by t = 400, but comes within 5e-6 near
+        # t = 344.2; the NOT_FOUND report must be that peak, not the polish
+        # of the best grid point (0.99970 at t = 162.5)
+        report = pgst_search(sd_c5, 0, 1, 0.9999999, 400.0)
+        assert report.kind is TransferKind.NOT_FOUND
+        t_o, f_o = dense_scan_max(sd_c5, 0, 1, 0.0, 400.0, samples=200001)
+        assert abs(report.time - t_o) <= 0.002
+        assert f_o - 1e-12 <= report.fidelity < 0.9999999
+        assert report.fidelity == pytest.approx(fidelity(sd_c5, 0, 1, report.time), abs=1e-12)
