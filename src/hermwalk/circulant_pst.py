@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnsupportedGraph
-from .linalg import hermitian_eigendecomposition
+from .linalg import SpectralDecomposition, hermitian_eigendecomposition
 from .numbertheory import modular_inverse, rational_reconstruct
 from .swaut import MonomialMatrix, SwitchingGroup, _cycles, enumerate_switching_automorphisms
 from .transfer import TransferKind, TransferReport, pst_check_at_time
@@ -164,7 +164,9 @@ def _fourier_ordered_eigenvalues(adj: np.ndarray, element: MonomialMatrix):
     return np.einsum("jk,jl,lk->k", f.conj(), adj, f).real / n, old_of_new
 
 
-def upst_certify(g, group: SwitchingGroup | None = None) -> UpstReport:
+def upst_certify(
+    g, group: SwitchingGroup | None = None, sd: SpectralDecomposition | None = None
+) -> UpstReport:
     """Decide universal perfect state transfer for a graph that is
     switching-equivalent to a circulant.
 
@@ -175,7 +177,9 @@ def upst_certify(g, group: SwitchingGroup | None = None) -> UpstReport:
     (UnsupportedGraph).  On success the spectral certificate is attempted
     and, if issued, the full transfer schedule t, 2t, ..., nt is validated
     to fidelity 1 - 1e-6 on the actual graph.  A caller that has already
-    enumerated the group of g passes it as group; the report is the same.
+    enumerated the group of g passes it as group, and one that holds the
+    eigendecomposition of g's adjacency passes it as sd; the report is the
+    same.
     """
     adj = np.asarray(g.adjacency, dtype=complex)
     n = adj.shape[0]
@@ -191,7 +195,8 @@ def upst_certify(g, group: SwitchingGroup | None = None) -> UpstReport:
     if isinstance(cert, NoCertificate):
         return UpstReport(universal=False, failure=cert, cycle_element=cycle)
     t1, m = pst_time(cert)
-    sd = hermitian_eigendecomposition(adj)
+    if sd is None:
+        sd = hermitian_eigendecomposition(adj)
     transfers = []
     for k in range(1, n + 1):
         target = old_of_new[k % n]

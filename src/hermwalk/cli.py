@@ -198,7 +198,7 @@ def _cmd_analyze(args) -> int:
             print(swaut.format_group(group))
 
         try:
-            upst = circulant_pst.upst_certify(g, group)
+            upst = circulant_pst.upst_certify(g, group, sd)
         except (UnsupportedGraph, DisconnectedSupport) as exc:
             print(f"upst: Unsupported ({exc})")
         else:

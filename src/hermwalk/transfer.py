@@ -18,14 +18,25 @@ The searches and the fidelity scan evaluate their grids by one factorized
 phase kernel.  Grid index k is written k = k0 + r with 0 <= r < _ROW, so that
 exp(-i k h lambda) = exp(-i k0 h lambda) exp(-i r h lambda): the phases at
 the row starts k0 are computed directly (no recurrence, so no accumulated
-rounding), the inner phases times the coefficients are built once per search
-(with shorter rows if that table would pass _CHUNK_BYTES), and a block of
-amplitudes is one complex matrix product.  A grid point costs
-d/_ROW complex exponentials plus one row of that product instead of d
-exponentials.  The grid is streamed in chunks that start at _FIRST_CHUNK
-points and double up to _CHUNK_BYTES of temporaries, so a search that finds
-an early answer stops early: its cost follows the answer time, not t_max,
-and its memory does not grow with t_max or n.  Times, horizons and scan ends
+rounding), the inner table exp(-i r h lambda) times the coefficients is the
+rows' right factor (with shorter rows if that table would pass
+_CHUNK_BYTES), and a block of amplitudes is one complex matrix product.  A
+grid point costs d/_ROW complex exponentials plus one row of that product
+instead of d exponentials.  The grid is streamed in chunks that start at
+_FIRST_CHUNK points and double up to _CHUNK_BYTES of temporaries, so a
+search that finds an early answer stops early: its cost follows the answer
+time, not t_max, and its memory does not grow with t_max or n.
+
+Everything but the coefficients is a function of the spectrum, so each
+SpectralDecomposition gets one peak grid, built at its first search and
+rebuilt when the bytes of its eigenvalues change: the centred lambda, the
+step and margin, the factors 1, -i lambda, -lambda^2 of the Newton polish,
+the inner table, and the row-start blocks of the chunks scanned so far,
+kept while all of it stays within _CHUNK_BYTES (later blocks are computed
+and dropped).  A search then builds only its pair's products: the inner
+table times the coefficients, one matrix product per chunk, and the polish.
+The fidelity scan, whose step is the caller's, and the periodicity walk use
+a grid that is not kept.  Times, horizons and scan ends
 must keep t * max|lambda| within _MAX_PHASE.  The Kronecker search walks its
 own grid of mod-2*pi phase distances, sharing only the chunks and _GRID_CAP.
 """
@@ -33,6 +44,7 @@ own grid of mod-2*pi phase distances, sharing only the chunks and _GRID_CAP.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -133,29 +145,94 @@ def _grid_chunks(count: int, point_bytes: int, first: int = 0):
         size = min(2 * size, cap)
 
 
-def _phase_kernel(lam: np.ndarray, coeffs: np.ndarray, step: float):
+class _Grid:
+    """The coefficient-independent half of the phase kernel on the grid
+    k * step: the spectrum lam, the row length (_ROW, or less when the
+    d x row*columns table for a (d, columns) coefficient block would exceed
+    _CHUNK_BYTES), the inner table exp(-i r step lam) for 0 <= r < row, and
+    the temporary bytes per grid point.  blocks is None here; a grid that
+    keeps its row-start phase blocks sets it to a dict by chunk start, which
+    grows while the grid's nbytes stays within _CHUNK_BYTES."""
+
+    def __init__(self, lam: np.ndarray, step: float, columns: int = 1):
+        d = len(lam)
+        self.lam, self.step = lam, step
+        self.row = max(1, min(_ROW, _CHUNK_BYTES // (16 * d * columns)))
+        self.inner = np.exp(-1j * step * np.outer(lam, np.arange(self.row)))
+        self.point_bytes = 16 * max(columns, -(-d // self.row))
+        self.blocks = None
+
+    def row_starts(self, start: int, rows: int) -> np.ndarray:
+        """The (rows, d) block exp(-i k0 step lam), k0 = start + j*row."""
+        block = None if self.blocks is None else self.blocks.get(start)
+        if block is not None and len(block) >= rows:
+            return block[:rows]
+        ks = start + self.row * np.arange(rows)
+        block = np.exp(-1j * np.outer(ks * self.step, self.lam))
+        if self.blocks is not None and start not in self.blocks:
+            if self.nbytes + block.nbytes <= _CHUNK_BYTES:
+                self.blocks[start] = block
+                self.nbytes += block.nbytes
+        return block
+
+
+class _PeakGrid(_Grid):
+    """The _Grid of _peak_search for a spectrum of nonzero width: lam centred
+    on its midpoint, step and margin from _pgst_grid, and the columns 1,
+    -i lam, -lam**2 whose products with the coefficients _newton_max takes.
+    It keeps its row-start blocks, and key holds the bytes of the
+    eigenvalues it was built from."""
+
+    def __init__(self, eigenvalues: np.ndarray):
+        lam = eigenvalues - 0.5 * (eigenvalues[0] + eigenvalues[-1])
+        step, self.margin = _pgst_grid(lam)
+        super().__init__(lam, step)
+        self.blocks = {}
+        self.key = eigenvalues.tobytes()
+        self.factors = np.stack([np.ones(len(lam)), -1j * lam, -(lam * lam)], axis=1)
+        self.nbytes = lam.nbytes + self.inner.nbytes + self.factors.nbytes
+
+
+# the _PeakGrid of each live SpectralDecomposition, so that every search on
+# one spectrum shares its tables
+_PEAK_GRIDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _spectrum_grid(sd: SpectralDecomposition) -> _PeakGrid:
+    """sd's _PeakGrid: built on first use and rebuilt once the bytes of
+    sd.eigenvalues change.  The spectrum must have nonzero width."""
+    grid = _PEAK_GRIDS.get(sd)
+    if grid is None or grid.key != sd.eigenvalues.tobytes():
+        grid = _PEAK_GRIDS[sd] = _PeakGrid(sd.eigenvalues)
+    return grid
+
+
+def _phase_kernel(grid, coeffs: np.ndarray, step: float):
     """Grid amplitudes |exp(-i k step lam) @ coeffs| by the factorized kernel.
 
-    coeffs has shape (d,) or (d, m).  Returns (amplitudes, point_bytes):
-    amplitudes(start, stop) is the (stop - start,) or (stop - start, m) array
-    for grid indices k in [start, stop), and point_bytes the temporary memory
-    per grid point.  Rows are _ROW points long unless the per-search table
-    (d x row*m complex values) would exceed _CHUNK_BYTES.
+    grid is a _Grid, or the eigenvalues lam; a _Grid that keeps no blocks
+    is made on them unless grid is one of this step.  coeffs has shape (d,)
+    or (d, m), (d,) for a grid made with one column.  Returns (amplitudes,
+    point_bytes): amplitudes(start, stop) is the (stop - start,) or
+    (stop - start, m) array for grid indices k in [start, stop), and
+    point_bytes the temporary memory per grid point.  Only the product
+    p_in = inner * coeffs is built here.
     """
-    d = len(lam)
     columns = coeffs.shape[1:]
     m = math.prod(columns)
-    row = max(1, min(_ROW, _CHUNK_BYTES // (16 * d * m)))
-    inner = np.exp(-1j * step * np.outer(lam, np.arange(row)))
-    p_in = (inner[:, :, None] * coeffs.reshape(d, 1, m)).reshape(d, row * m)
+    if not isinstance(grid, _Grid):
+        grid = _Grid(grid, step, m)
+    elif grid.step != step:  # tables of another step
+        grid = _Grid(grid.lam, step, m)
+    d, row = len(grid.lam), grid.row
+    p_in = (grid.inner[:, :, None] * coeffs.reshape(d, 1, m)).reshape(d, row * m)
 
     def amplitudes(start: int, stop: int) -> np.ndarray:
         rows = -(-(stop - start) // row)
-        row_starts = (start + row * np.arange(rows)) * step
-        p_out = np.exp(-1j * np.outer(row_starts, lam))
+        p_out = grid.row_starts(start, rows)
         return np.abs(p_out @ p_in).reshape((rows * row, *columns))[: stop - start]
 
-    return amplitudes, 16 * max(m, -(-d // row))
+    return amplitudes, grid.point_bytes
 
 
 def _amplitude_at(lam: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
@@ -329,13 +406,14 @@ def _pgst_grid(lam: np.ndarray) -> tuple[float, float]:
 
 
 def _peak_search(
-    lam: np.ndarray, coeffs: np.ndarray, t_max: float, level: float,
+    grid: _PeakGrid | np.ndarray, coeffs: np.ndarray, t_max: float, level: float,
     t_min: float = -math.inf, t_first: float = 0.0,
 ) -> tuple[float, float, bool]:
     """Earliest time t > t_min in [t_first, t_max] with
     |s(t)| = |exp(-i t lam) @ coeffs| >= level, for sum|coeffs| <= 1 and
     lam ascending, of nonzero width.
 
+    grid is the spectrum's _PeakGrid, or lam itself, for which one is made:
     lam is centred on its midpoint, which leaves |s| unchanged, and the grid
     and its margin M come from _pgst_grid.  Since |s''| <= rho_c**2 for the
     centred spectrum (Cauchy-Schwarz) and |s| is flat at an interior
@@ -356,11 +434,12 @@ def _peak_search(
     for the highest of the best grid point (t_max included), its polish and
     every other polish that ended after t_min.
     """
-    lam = lam - 0.5 * (lam[0] + lam[-1])
-    step, margin = _pgst_grid(lam)
-    threshold = level - margin
-    amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
-    derivs = np.stack([coeffs, -1j * lam * coeffs, -(lam * lam) * coeffs], axis=1)
+    if not isinstance(grid, _PeakGrid):
+        grid = _PeakGrid(grid)
+    lam, step = grid.lam, grid.step
+    threshold = level - grid.margin
+    amplitudes, point_bytes = _phase_kernel(grid, coeffs, step)
+    derivs = grid.factors * coeffs[:, None]
     peak_t, peak_f = t_first, -math.inf  # the highest polish after t_min
 
     def polish(t_center: float, t_seed: float) -> bool:  # True if it qualifies
@@ -425,7 +504,7 @@ def pgst_search(
         t_best, f_best = 0.0, float(_amplitude_at(lam, coeffs, 0.0))
         found = f_best >= target_fidelity
     else:
-        t_best, f_best, found = _peak_search(lam, coeffs, t_max, target_fidelity)
+        t_best, f_best, found = _peak_search(_spectrum_grid(sd), coeffs, t_max, target_fidelity)
     kind = TransferKind.PRETTY_GOOD if found else TransferKind.NOT_FOUND
     return TransferReport(a, b, t_best, f_best, kind, max(0.0, 1.0 - f_best))
 
@@ -486,20 +565,21 @@ def periodicity_search(
         raise ValueError("t_max must be positive and finite")
     _check_phase_range(sd.eigenvalues, t_max, "t_max")
     check_tolerance(tol, upper=1.0)
-    lam = sd.eigenvalues - 0.5 * (sd.eigenvalues[0] + sd.eigenvalues[-1])
-    coeffs = np.full(len(lam), 1.0 / len(lam))
     level = 1.0 - tol
-    step = _lipschitz_step(0.5 * float(lam[-1] - lam[0]))
-    amplitudes, point_bytes = _phase_kernel(lam, coeffs, step)
-    for start, stop in _grid_chunks(_grid_count(t_max, step), point_bytes):
-        below = np.flatnonzero(amplitudes(start, stop) < level)
-        if len(below):
-            break
-    else:
-        if _amplitude_at(lam, coeffs, t_max) < level:
+    step = _lipschitz_step(0.0)
+    if sd.eigenvalues[0] < sd.eigenvalues[-1]:  # else U(t) stays a phase times I
+        grid = _spectrum_grid(sd)
+        coeffs = np.full(sd.n, 1.0 / sd.n)
+        step = _lipschitz_step(0.5 * float(grid.lam[-1] - grid.lam[0]))
+        amplitudes, point_bytes = _phase_kernel(grid, coeffs, step)
+        for start, stop in _grid_chunks(_grid_count(t_max, step), point_bytes):
+            below = np.flatnonzero(amplitudes(start, stop) < level)
+            if len(below):
+                t_exit = (start + int(below[0])) * step
+                t, _, found = _peak_search(grid, coeffs, t_max, level, tol, t_exit)
+                return t if found else None
+        if _amplitude_at(grid.lam, coeffs, t_max) < level:
             return None  # leaves only at the horizon
-        # never left the identity neighborhood on this horizon
-        t = step if step > tol else tol + step
-        return float(t) if t <= t_max else None
-    t, _, found = _peak_search(lam, coeffs, t_max, level, tol, (start + int(below[0])) * step)
-    return t if found else None
+    # never left the identity neighborhood on this horizon
+    t = step if step > tol else tol + step
+    return float(t) if t <= t_max else None

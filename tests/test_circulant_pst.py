@@ -308,6 +308,20 @@ class TestUpstCertify:
         ]
         assert summaries[0] == summaries[1]
 
+    @pytest.mark.parametrize(
+        "make", [lambda: construct_cp(3), relabeled_circulant], ids=["C3", "relabeled"]
+    )
+    def test_given_decomposition_gives_the_same_report(self, make, monkeypatch):
+        g = make()
+        plain = upst_certify(g)
+        sd = hermitian_eigendecomposition(g.adjacency)
+        monkeypatch.setattr(circulant_pst, "hermitian_eigendecomposition", None)  # no second one
+        given = upst_certify(g, sd=sd)
+        assert given.universal and plain.universal
+        assert [(r.target, r.time, r.fidelity) for r in given.transfers] == [
+            (r.target, r.time, r.fidelity) for r in plain.transfers
+        ]
+
     def test_single_vertex_degenerate(self):
         from hermwalk import from_entries
 

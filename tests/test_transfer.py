@@ -927,3 +927,104 @@ class TestShiftInvariance:
         assert abs(report.time - t_o) <= 0.002
         assert f_o - 1e-12 <= report.fidelity < 0.9999999
         assert report.fidelity == pytest.approx(fidelity(sd_c5, 0, 1, report.time), abs=1e-12)
+
+
+def _answer(report):
+    return report.kind, report.time.hex(), report.fidelity.hex()
+
+
+def _fresh(sd):
+    """A new SpectralDecomposition with the same arrays, so no table is shared."""
+    return SpectralDecomposition(sd.eigenvalues.copy(), sd.eigenvectors.copy())
+
+
+def _hypercube(d, scale=1.0):
+    g = construct_k2("X")
+    for _ in range(d - 1):
+        g = cartesian_product(g, construct_k2("X"))
+    return hermitian_eigendecomposition(scale * g.adjacency)
+
+
+class TestSpectrumGrid:
+    # pgst_search and periodicity_search keep the coefficient-independent
+    # tables of one spectrum on a grid object tied to its decomposition;
+    # sharing them must not change a single bit of any answer
+
+    GRAPHS = {
+        "C5": (construct_cp(5).adjacency, 0.999, 200.0),
+        "C7": (construct_cp(7).adjacency, 0.99, 300.0),
+        "K4": (construct_k4().adjacency, 0.99, 100.0),
+        "K2xC5": (cartesian_product(construct_k2("X"), construct_cp(5)).adjacency, 0.95, 300.0),
+        "H2": (hadamard_graph(2, np.arange(4) / 4).adjacency, 0.95, 300.0),
+    }
+
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_shared_tables_match_fresh_per_pair(self, name):
+        adjacency, target, t_max = self.GRAPHS[name]
+        sd = hermitian_eigendecomposition(adjacency)
+        pairs = [(a, b) for a in range(sd.n) for b in range(sd.n) if a != b]
+        shared = [_answer(pgst_search(sd, a, b, target, t_max)) for a, b in pairs]
+        fresh = [_answer(pgst_search(_fresh(sd), a, b, target, t_max)) for a, b in pairs]
+        assert shared == fresh
+        assert {kind for kind, _, _ in shared} >= {TransferKind.PRETTY_GOOD}
+
+    def test_interleaved_spectra_and_periodicity(self):
+        # C3 returns to a phase times I at 2 pi/sqrt(3), diag(0, 10), with
+        # tol 0.9, first at 2 pi/5 after a dip narrower than the peak grid's
+        # step, and diag(0, 0.1) at 20 pi after a walk that leaves at 0.03,
+        # 20 times finer than its peak grid; the periodicity searches walk a
+        # finer grid of the same spectrum, then the peak grid from a start
+        # that is no chunk start
+        cases = [
+            (construct_cp(3).adjacency, 1e-6, 2 * math.pi / SQRT3),
+            (construct_k4().adjacency, 1e-6, None),
+            (np.diag([0.0, 10.0]).astype(complex), 0.9, 2 * math.pi / 5),
+            (np.diag([0.0, 0.1]).astype(complex), 1e-6, 20 * math.pi),
+        ]
+        sds = [hermitian_eigendecomposition(adjacency) for adjacency, _, _ in cases]
+        got, expected, periods = [], [], []
+        for a in range(2):
+            for b in range(2):
+                for sd, (_, tol, _) in zip(sds, cases):
+                    got.append(_answer(pgst_search(sd, a, b, 0.99, 100.0)))
+                    expected.append(_answer(pgst_search(_fresh(sd), a, b, 0.99, 100.0)))
+                    periods.append(periodicity_search(sd, 100.0, tol))
+                    expected.append(periodicity_search(_fresh(sd), 100.0, tol))
+                    got.append(periods[-1])
+        assert got == expected
+        for t, (_, _, period) in zip(periods, cases * 4):
+            assert t == period or abs(t - period) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1.0, 3.0], ids=["Q6", "Q6x3"])
+    def test_cached_blocks_within_chunk_budget(self, scale):
+        # a miss scans the whole 1e4 horizon; on Q6 x 3 its grid runs past
+        # the budget, so the later row-start blocks are computed and dropped
+        sd = _hypercube(6, scale)
+        report = pgst_search(sd, 0, 1, 0.99, 1e4)
+        assert report.kind is TransferKind.NOT_FOUND
+        grid = transfer._spectrum_grid(sd)
+        held = sum(block.nbytes for block in grid.blocks.values())
+        assert held + grid.lam.nbytes + grid.inner.nbytes + grid.factors.nbytes == grid.nbytes
+        assert 0 < grid.nbytes <= transfer._CHUNK_BYTES
+        count = math.ceil(1e4 / grid.step)
+        chunks = list(transfer._grid_chunks(count, grid.point_bytes))
+        assert (len(grid.blocks) < len(chunks)) == (scale > 1.0)
+        assert _answer(pgst_search(sd, 0, 1, 0.99, 1e4)) == _answer(report)
+
+    @pytest.mark.parametrize(
+        "change", [lambda lam: lam.__imul__(2.0), lambda lam: lam.__iadd__(0.5)],
+        ids=["scale", "shift"],
+    )
+    def test_in_place_change_rebuilds_tables(self, change):
+        sd = hermitian_eigendecomposition(construct_cp(5).adjacency)
+        pgst_search(sd, 0, 1, 0.999, 200.0)
+        old = transfer._spectrum_grid(sd)
+        change(sd.eigenvalues)
+        pairs = [(0, 1), (0, 2), (1, 3)]
+        got = [_answer(pgst_search(sd, a, b, 0.999, 200.0)) for a, b in pairs]
+        assert got == [_answer(pgst_search(_fresh(sd), a, b, 0.999, 200.0)) for a, b in pairs]
+        grid, rebuilt = transfer._spectrum_grid(sd), transfer._PeakGrid(sd.eigenvalues)
+        assert grid is not old
+        assert (grid.step, grid.margin) == (rebuilt.step, rebuilt.margin)
+        assert grid.lam.tobytes() == rebuilt.lam.tobytes()
+        assert grid.inner.tobytes() == rebuilt.inner.tobytes()
