@@ -23,13 +23,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnsupportedGraph
-from .linalg import SpectralDecomposition, hermitian_eigendecomposition
+from .linalg import SpectralDecomposition, hermitian_eigendecomposition, relative_tol
 from .numbertheory import modular_inverse, rational_reconstruct
 from .swaut import MonomialMatrix, SwitchingGroup, _cycles, enumerate_switching_automorphisms
 from .transfer import TransferKind, TransferReport, pst_check_at_time
 
 _RATIO_MAX_DEN = 10**4
-_RATIO_TOL = 1e-9
+_RATIO_TOL = 1e-9  # on ratios of eigenvalue differences, dimensionless
 _LCM_CAP = 10**7
 _VALIDATE_TOL = 1e-6
 _ENUM_CAP = 12
@@ -69,16 +69,15 @@ def pst_spectral_certificate(eigs) -> PstCertificate | NoCertificate:
     multiples of the first nonzero one; their common scale beta is the
     lattice generator obtained via an lcm of the reconstructed
     denominators, j is forced by k = 1, and the congruence
-    m_k = j*k (mod n) must hold for every k.
+    m_k = j*k (mod n) must hold for every k.  Zero differences (1e-9) and
+    the residual (1e-8) are relative to max|lambda|.
     """
     lam = np.asarray(eigs, dtype=float)
     n = len(lam)
     if n < 2:
         return NoCertificate(CertificateFailure.DEGENERATE_SPECTRUM, "need at least 2 eigenvalues")
-    scale = float(np.max(np.abs(lam)))
     mu = lam - lam[0]
-    zero_tol = 1e-9 * max(1.0, scale)
-    nonzero = np.flatnonzero(np.abs(mu) > zero_tol)
+    nonzero = np.flatnonzero(np.abs(mu) > relative_tol(1e-9, lam))
     if len(nonzero) == 0:
         return NoCertificate(CertificateFailure.DEGENERATE_SPECTRUM, "all eigenvalues equal")
     r = int(nonzero[0])
@@ -113,7 +112,7 @@ def pst_spectral_certificate(eigs) -> PstCertificate | NoCertificate:
             )
     c = tuple((m[k] - j * k) // n for k in range(n))
     residual = float(np.max(np.abs(mu - beta * np.asarray(m, dtype=float))))
-    if residual > 1e-8 * max(scale, 1e-30):
+    if residual > relative_tol(1e-8, lam):
         return NoCertificate(
             CertificateFailure.CONGRUENCE_FAIL,
             f"residual {residual:.3e} exceeds the certificate budget",

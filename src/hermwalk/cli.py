@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from . import circulant_pst, graph, numbertheory, spectra, swaut, transfer
-from .errors import DisconnectedSupport, GraphFormatError, HermwalkError, UnsupportedGraph
+from .errors import (DisconnectedSupport, GraphFormatError, HermwalkError, TraceNotZero,
+                     UnsupportedGraph)
 from .linalg import check_tolerance, hermitian_eigendecomposition
 
 _SWAUT_MAX_N = 10
@@ -49,11 +50,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="spectral/structural report for a graph file")
     ana.add_argument("path", help="graph file")
-    ana.add_argument("--gap-tol", type=float, default=1e-8)
-    ana.add_argument("--flat-tol", type=float, default=1e-8)
+    ana.add_argument("--gap-tol", type=float, default=1e-8, help="relative to max|lambda|")
+    ana.add_argument("--flat-tol", type=float, default=1e-8, help="dimensionless")
     ana.add_argument("--ratio-max-den", type=int, default=10**4)
-    ana.add_argument("--ratio-tol", type=float, default=1e-9)
-    ana.add_argument("--screen-tol", type=float, default=1e-10)
+    ana.add_argument("--ratio-tol", type=float, default=1e-9,
+                     help="ratio fit error; skips eigenvalues under it times max|lambda|")
+    ana.add_argument("--screen-tol", type=float, default=1e-10, help="absolute")
 
     tra = sub.add_parser("transfer", help="fidelity scans and transfer-time searches")
     tra.add_argument("path", help="graph file")
@@ -158,15 +160,15 @@ def _cmd_analyze(args) -> int:
         flat, deviation = spectra.flat_eigenbasis_check(sd, args.flat_tol)
         print(f"flatness: flat={flat} max_deviation={deviation:.12g}")
 
-        trace = float(np.sum(sd.eigenvalues))
-        if abs(trace) <= 1e-9:
+        try:
             ratio = spectra.eigenvalue_ratio_rationality(sd, args.ratio_max_den, args.ratio_tol)
+        except TraceNotZero:
+            print(f"ratio-rationality: skipped (trace {np.sum(sd.eigenvalues):.3g} is not zero)")
+        else:
             print(
                 f"ratio-rationality: all_rational={ratio.all_rational} "
                 f"({len(ratio.entries)} pairs)"
             )
-        else:
-            print(f"ratio-rationality: skipped (trace {trace:.3g} is not zero)")
 
         # screen distinct frequency magnitudes, dropping the +/- pair structure;
         # magnitudes closer than the screen tolerance are one frequency

@@ -22,7 +22,7 @@ from .errors import (
     IndexOutOfRange,
     OrderTooLarge,
 )
-from .linalg import HERMITIAN_TOL, as_square_complex, max_abs
+from .linalg import HERMITIAN_TOL, as_square_complex, max_abs, relative_tol
 from .spectra import check_hermitian_circulant
 from .swaut import MonomialMatrix
 
@@ -31,18 +31,20 @@ _MAX_ALPHA = math.log(np.finfo(float).max)  # largest alpha whose exp is a finit
 
 @dataclass(eq=False)
 class HermitianGraph:
-    """Vertex count, Hermitian adjacency matrix, optional vertex labels."""
+    """Vertex count, Hermitian adjacency matrix, optional vertex labels.  The
+    adjacency A must be Hermitian within 1e-12 of max|A_uv|; A/2 + A^dagger/2 is kept."""
 
     n: int
     adjacency: np.ndarray
     labels: list[str] | None = None
 
     def __post_init__(self):
-        self.adjacency = as_square_complex(self.adjacency)
-        if self.adjacency.shape[0] != self.n:
+        a = as_square_complex(self.adjacency)
+        if a.shape[0] != self.n:
             raise DimensionMismatch("adjacency shape does not match n")
-        if max_abs(self.adjacency - self.adjacency.conj().T) > HERMITIAN_TOL:
-            raise ConjugateMismatch("adjacency matrix is not Hermitian within 1e-12")
+        if max_abs(a - a.conj().T) > relative_tol(HERMITIAN_TOL, a):
+            raise ConjugateMismatch("adjacency matrix is not Hermitian within 1e-12 of max|A_uv|")
+        self.adjacency = a / 2 + a.conj().T / 2  # halves first, so 1e308 does not overflow
         if self.labels is not None and len(self.labels) != self.n:
             raise DimensionMismatch("labels length does not match n")
 
@@ -169,7 +171,6 @@ def hadamard_graph(n: int, alphas=None) -> HermitianGraph:
         h = np.kron(block, h)
     u = h / np.sqrt(size)
     adj = (u * np.exp(alphas)) @ u.T
-    adj = (adj + adj.T) / 2.0
     return HermitianGraph(n=size, adjacency=adj.astype(complex))
 
 

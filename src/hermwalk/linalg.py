@@ -21,10 +21,9 @@ from .errors import (
     NotPositive,
     NotUnitary,
 )
-from .swaut import MonomialMatrix
 
-HERMITIAN_TOL = 1e-12  # max-modulus distance from A^dagger accepted as Hermitian
-_UNITARY_TOL = 1e-10
+HERMITIAN_TOL = 1e-12  # max|A - A^dagger| accepted as Hermitian, relative to max|A_uv|
+_UNITARY_TOL = 1e-10  # dimensionless, like every check on a unitary
 _RECONSTRUCTION_TOL = 1e-9
 
 
@@ -32,6 +31,12 @@ def check_tolerance(tol: float, name: str = "tol", upper: float = math.inf) -> N
     """Raise ValueError unless tol is finite and 0 < tol < upper."""
     if not (0.0 < tol < upper and math.isfinite(tol)):
         raise ValueError(f"{name} must be finite and lie in (0, {upper:g}), got {tol!r}")
+
+
+def relative_tol(tol: float, x) -> float:
+    """tol * max|x|: the threshold of a check on a quantity computed from the
+    array x, the matrix entries or the eigenvalues, so scaling x keeps the verdict."""
+    return tol * max_abs(np.asarray(x))
 
 
 def max_abs(m: np.ndarray) -> float:
@@ -71,11 +76,11 @@ def hermitian_eigendecomposition(a) -> SpectralDecomposition:
     real positive (the first one, among moduli tied within 1e-10).  Raises
     NotHermitian when the input fails the symmetry check and NoConvergence
     when LAPACK does not converge or the result fails the unitarity or
-    reconstruction check.
+    reconstruction check; both checks on A are relative to max|A_uv|.
     """
     a = as_square_complex(a)
-    if max_abs(a - a.conj().T) > HERMITIAN_TOL:
-        raise NotHermitian("matrix is not Hermitian within 1e-12")
+    if max_abs(a - a.conj().T) > relative_tol(HERMITIAN_TOL, a):
+        raise NotHermitian("matrix is not Hermitian within 1e-12 of max|A_uv|")
     n = a.shape[0]
     try:
         eigenvalues, vec = np.linalg.eigh(a)
@@ -94,7 +99,7 @@ def hermitian_eigendecomposition(a) -> SpectralDecomposition:
     if max_abs(vec.conj().T @ vec - np.eye(n)) > _UNITARY_TOL:
         raise NoConvergence("eigenvector matrix failed the unitarity check")
     recon = (vec * eigenvalues) @ vec.conj().T
-    if max_abs(recon - a) > _RECONSTRUCTION_TOL * max(1.0, max_abs(a)):
+    if max_abs(recon - a) > relative_tol(_RECONSTRUCTION_TOL, a):
         raise NoConvergence("eigendecomposition failed the reconstruction check")
     return sd
 
@@ -120,12 +125,12 @@ def anticommuting_exponential(a, b, t: float) -> np.ndarray:
         raise ValueError("A and B must have the same shape")
     if not math.isfinite(t):
         raise ValueError("time must be finite")
-    if max_abs(a @ b + b @ a) > 1e-10:
-        raise NotAnticommuting("AB + BA is not zero within 1e-10")
+    if max_abs(a @ b + b @ a) > relative_tol(1e-10, a) * max_abs(b):
+        raise NotAnticommuting("AB + BA is not zero within 1e-10 of max|A_uv| max|B_uv|")
     m = a @ a + b @ b
     sd = hermitian_eigendecomposition(m)
-    if sd.eigenvalues[0] <= 1e-12:
-        raise NotPositive("A^2 + B^2 must be positive definite")
+    if sd.eigenvalues[0] <= relative_tol(1e-12, sd.eigenvalues):
+        raise NotPositive("A^2 + B^2 must be positive definite within 1e-12 of its norm")
     roots = np.sqrt(sd.eigenvalues)
     v = sd.eigenvectors
     cos_part = (v * np.cos(t * roots)) @ v.conj().T
@@ -143,6 +148,7 @@ def nearest_monomial(u) -> tuple[MonomialMatrix | None, float]:
     fitted monomial.  The returned monomial is the canonical projective
     representative; the residual refers to the best-phase fit.
     """
+    from .swaut import MonomialMatrix  # swaut imports relative_tol from here
     u = as_square_complex(u)
     n = u.shape[0]
     if max_abs(u.conj().T @ u - np.eye(n)) > 1e-8:

@@ -19,40 +19,41 @@ from .errors import (
     TraceNotZero,
     WeightsInvalid,
 )
-from .linalg import HERMITIAN_TOL, SpectralDecomposition, check_tolerance
+from .linalg import HERMITIAN_TOL, SpectralDecomposition, check_tolerance, relative_tol
 from .numbertheory import rational_reconstruct
 
 
 def check_hermitian_circulant(w: np.ndarray) -> None:
     """Raise NotHermitianCirculant unless the first row w of a circulant has
-    a real w[0] and w[n-k] == conj(w[k]) for k >= 1, within HERMITIAN_TOL."""
+    a real w[0] and w[n-k] == conj(w[k]) for k >= 1, within 1e-12 of max|w|."""
     n = len(w)
-    if abs(w[0].imag) > HERMITIAN_TOL:
+    tol = relative_tol(HERMITIAN_TOL, w)
+    if abs(w[0].imag) > tol:
         raise NotHermitianCirculant("weights[0] must be real")
     for k in range(1, n):
-        if abs(w[(n - k) % n] - np.conj(w[k])) > HERMITIAN_TOL:
+        if abs(w[(n - k) % n] - np.conj(w[k])) > tol:
             raise NotHermitianCirculant(f"weights[{n - k}] must conjugate weights[{k}]")
 
 
 def circulant_eigenvalues(weights) -> np.ndarray:
     """Eigenvalues lambda_k = sum_j a_j omega^(jk) of a Hermitian circulant,
-    in Fourier index order k = 0..n-1 (not sorted)."""
+    in Fourier index order k = 0..n-1 (not sorted), real within 1e-10 of max|lambda|."""
     w = np.asarray(weights, dtype=complex)
     check_hermitian_circulant(w)
     lam = len(w) * np.fft.ifft(w)
-    if float(np.max(np.abs(lam.imag))) > 1e-10:
+    if float(np.max(np.abs(lam.imag))) > relative_tol(1e-10, lam):
         raise NonRealEigenvalue("circulant eigenvalues acquired imaginary parts")
     return lam.real.copy()
 
 
 def eigenvalue_simplicity(sd: SpectralDecomposition, gap_tol: float = 1e-8) -> tuple[bool, float]:
     """Minimum gap between adjacent sorted eigenvalues; simple when it
-    exceeds gap_tol."""
+    exceeds gap_tol * max|lambda|."""
     check_tolerance(gap_tol, "gap_tol")
     if sd.n < 2:
         return True, math.inf
     min_gap = float(np.min(np.diff(sd.eigenvalues)))
-    return min_gap > gap_tol, min_gap
+    return min_gap > relative_tol(gap_tol, sd.eigenvalues), min_gap
 
 
 def flat_eigenbasis_check(sd: SpectralDecomposition, tol: float = 1e-8) -> tuple[bool, float]:
@@ -89,15 +90,15 @@ def eigenvalue_ratio_rationality(
     """Test whether every ratio lambda_j / lambda_k (nonzero denominator) is
     rational, via continued-fraction reconstruction with a denominator cap.
 
-    Requires a traceless matrix (the hypothesis under which the rationality
-    of the ratios is a necessary condition).  Pairs with |lambda_k| <= tol
-    are skipped since the zero-denominator case carries no information here.
+    Requires a traceless matrix, within 1e-9 max|lambda|: the hypothesis under
+    which rationality of the ratios is necessary.  Pairs with |lambda_k| <= tol
+    max|lambda| are skipped: a zero denominator carries no information here.
     """
     check_tolerance(tol)
     lam = sd.eigenvalues
-    if abs(float(np.sum(lam))) > 1e-9:
-        raise TraceNotZero("eigenvalues do not sum to zero within 1e-9")
-    nonzero = [k for k in range(len(lam)) if abs(lam[k]) > tol]
+    if abs(float(np.sum(lam))) > relative_tol(1e-9, lam):
+        raise TraceNotZero("eigenvalues do not sum to zero within 1e-9 of max|lambda|")
+    nonzero = np.flatnonzero(np.abs(lam) > relative_tol(tol, lam)).tolist()
     if not nonzero:
         raise ValueError("need at least one eigenvalue with modulus above tol")
     entries = []

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DisconnectedSupport
+from .linalg import relative_tol
 
-_UNIT_TOL = 1e-12
+_UNIT_TOL = 1e-12  # on phases, which are dimensionless
 _PROJ_TOL = 1e-9
 
 
@@ -182,13 +183,12 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     zero pattern, magnitude and phase, and every entry of the defining
     identity is verified before a complete map is accepted.  Nothing is
     searched unless the rows of the two matrices pair up one to one.
-    The magnitude tolerance 1e-9 and phase_tol are relative: both are
-    multiplied by max(1, max|A_uv|) over the two matrices.
+    The magnitude tolerance 1e-9 and phase_tol are relative to max|A_uv|
+    over the two matrices.
     Deterministic: targets are tried in ascending order.
     """
     n = a_from.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a_from))), float(np.max(np.abs(a_to))))
-    mag_tol, phase_tol = 1e-9 * scale, phase_tol * scale
+    mag_tol, phase_tol = (relative_tol(tol, (a_from, a_to)) for tol in (1e-9, phase_tol))
     # a vertex can only go to a target with the same diagonal entry and sorted row magnitudes
     mags_f, mags_t = (np.sort(np.abs(a - np.diag(np.diag(a))), axis=1) for a in (a_from, a_to))
     alike = (np.abs(np.diag(a_from)[:, None] - np.diag(a_to)) <= mag_tol) & np.all(
@@ -262,7 +262,7 @@ def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGr
 
     The support graph must be connected; otherwise the phase propagation is
     underdetermined and the projective group is not finite.  phase_tol is
-    relative to max(1, max|A_uv|), so scaling A up does not change the group.
+    relative to max|A_uv|, so scaling A does not change the group.
     """
     adj = np.asarray(g.adjacency, dtype=complex)
     n = adj.shape[0]
@@ -295,7 +295,7 @@ def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGr
 
 def is_switching_isomorphic(g1, g2, phase_tol: float = 1e-9) -> MonomialMatrix | None:
     """Witness M with A(g2) = M^dagger A(g1) M, or None if no monomial works;
-    phase_tol is relative to max(1, max|A_uv|) over both graphs."""
+    phase_tol is relative to max|A_uv| over both graphs."""
     a1 = np.asarray(g1.adjacency, dtype=complex)
     a2 = np.asarray(g2.adjacency, dtype=complex)
     if a1.shape != a2.shape:

@@ -12,7 +12,7 @@ itself as its last point, and polishes peaks, earliest first, by Newton's
 method on |s(t)|^2 from the vertex of the parabola through the grid maximum
 and its neighbours (golden-section search where Newton's method fails).
 Periodicity starts that search where the walk leaves the identity, found
-on the finer Lipschitz grid min(0.01, 0.1/rho_c).
+on the finer Lipschitz grid 0.1/rho_c.
 
 The searches and the fidelity scan evaluate their grids by one factorized
 phase kernel.  Grid index k is written k = k0 + r with 0 <= r < _ROW, so that
@@ -392,8 +392,8 @@ def _grid_count(t_max: float, step: float) -> int:
 
 
 def _lipschitz_step(rho: float) -> float:
-    """The Lipschitz grid step min(0.01, 0.1/rho), and 0.01 for rho = 0."""
-    return 0.1 / max(rho, 10.0)
+    """The Lipschitz grid step 0.1/rho, and 0.01 for rho = 0."""
+    return 0.1 / rho if rho > 0.0 else 0.01
 
 
 def _pgst_grid(lam: np.ndarray) -> tuple[float, float]:
@@ -552,7 +552,7 @@ def periodicity_search(
     it with the same grid, margin, horizon sample and Newton polish.
     Because U(t) -> I continuously, the walk starts inside the identity
     neighborhood.  It leaves at the first point where |tr U|/n < 1 - tol on
-    the Lipschitz grid min(0.01, 0.1/rho_c) of the centred spectrum, finer
+    the Lipschitz grid 0.1/rho_c of the centred spectrum, finer
     than the peak grid so that a brief dip is not stepped over, and the
     peak search starts there; no polish window reaches back before it, and
     the answer does not change under A -> A + cI.  If the walk never

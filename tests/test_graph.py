@@ -291,6 +291,17 @@ class TestGraphFile:
         save_graph(g, path)
         assert np.array_equal(load_graph(path).adjacency, g.adjacency)
 
+    def test_round_trip_switched_circulant(self, rng, tmp_path):
+        # switching leaves rounding-level imaginary parts on the diagonal,
+        # which a stored Hermitian part does not carry into the file
+        g = circulant([1, 2, 0.5, 0.5, 2])
+        path = tmp_path / "switched.hg"
+        for _ in range(20):
+            m = MonomialMatrix(tuple(int(v) for v in rng.permutation(5)), np.exp(2j * np.pi * rng.random(5)))
+            h = apply_switching(g, m)
+            save_graph(h, path)
+            assert np.array_equal(load_graph(path).adjacency, h.adjacency)
+
     def test_comments_and_blank_lines(self):
         text = "# weighted edge\n\nhgraph 1 2\n# another comment\n0 1 1 0\n"
         g = graph_from_text(text)

@@ -345,6 +345,14 @@ class TestPeriodicitySearch:
         assert t is not None
         assert abs(t - 2 * math.pi / SQRT3) <= 1e-6
 
+    def test_c3_period_at_small_scale(self):
+        # the exit grid step 0.1/rho_c scales with A: at 1e-6 the horizon 1e7
+        # is the same 10 time units as for C3 itself
+        sd = hermitian_eigendecomposition(1e-6 * construct_cp(3).adjacency)
+        t = periodicity_search(sd, 1e7)
+        assert t is not None
+        assert t * 1e-6 == pytest.approx(2 * math.pi / SQRT3, rel=1e-6)
+
     def test_k2x_period_pi(self):
         sd = hermitian_eigendecomposition(construct_k2("X").adjacency)
         t = periodicity_search(sd, 10.0)
