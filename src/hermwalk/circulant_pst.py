@@ -178,14 +178,17 @@ def upst_certify(
     to fidelity 1 - 1e-6 on the actual graph.  A caller that has already
     enumerated the group of g passes it as group, and one that holds the
     eigendecomposition of g's adjacency passes it as sd; the report is the
-    same.
+    same.  A group search that exhausts its budget raises
+    SearchBudgetExhausted, a kind of UnsupportedGraph.
     """
     adj = np.asarray(g.adjacency, dtype=complex)
     n = adj.shape[0]
     if n > _ENUM_CAP:
         raise UnsupportedGraph(f"group enumeration is limited to n <= {_ENUM_CAP}")
+    if sd is None:
+        sd = hermitian_eigendecomposition(adj)
     if group is None:
-        group = enumerate_switching_automorphisms(g)
+        group = enumerate_switching_automorphisms(g, sd=sd)
     cycle = next((e for e in group.elements if len(_cycles(e.perm)) == 1), None)
     if cycle is None:
         raise UnsupportedGraph("no switching automorphism acts as an n-cycle")
@@ -194,8 +197,6 @@ def upst_certify(
     if isinstance(cert, NoCertificate):
         return UpstReport(universal=False, failure=cert, cycle_element=cycle)
     t1, m = pst_time(cert)
-    if sd is None:
-        sd = hermitian_eigendecomposition(adj)
     transfers = []
     for k in range(1, n + 1):
         target = old_of_new[k % n]

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import circulant_pst, graph, numbertheory, spectra, swaut, transfer
-from .errors import (DisconnectedSupport, GraphFormatError, HermwalkError, TraceNotZero,
-                     UnsupportedGraph)
+from .errors import (DisconnectedSupport, GraphFormatError, HermwalkError,
+                     SearchBudgetExhausted, TraceNotZero, UnsupportedGraph)
 from .linalg import check_tolerance, hermitian_eigendecomposition
 
 _SWAUT_MAX_N = 10
@@ -183,13 +183,15 @@ def _cmd_analyze(args) -> int:
             print(f"independence-screen: found-relation {screen.relation}")
 
         group = None
+        unsupported = None  # a group search that failed fails the certificate the same way
         if g.n > _SWAUT_MAX_N:
             print(f"swaut: skipped (n > {_SWAUT_MAX_N})")
         else:
             try:
-                group = swaut.enumerate_switching_automorphisms(g)
-            except DisconnectedSupport as exc:
+                group = swaut.enumerate_switching_automorphisms(g, sd=sd)
+            except (DisconnectedSupport, SearchBudgetExhausted) as exc:
                 print(f"swaut: skipped ({exc})")
+                unsupported = exc
         if group is not None:
             report = swaut.structure_report(group, g.n)
             print(
@@ -200,6 +202,8 @@ def _cmd_analyze(args) -> int:
             print(swaut.format_group(group))
 
         try:
+            if unsupported is not None:
+                raise unsupported
             upst = circulant_pst.upst_certify(g, group, sd)
         except (UnsupportedGraph, DisconnectedSupport) as exc:
             print(f"upst: Unsupported ({exc})")

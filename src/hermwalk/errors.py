@@ -85,11 +85,14 @@ class InvalidTarget(HermwalkError):
     pass
 
 
-# swaut
+# swaut and circulant_pst
 class DisconnectedSupport(HermwalkError):
     pass
 
 
-# circulant_pst
 class UnsupportedGraph(HermwalkError):
     pass
+
+
+class SearchBudgetExhausted(UnsupportedGraph):
+    """A switching search placed more vertices than its fixed budget allows."""

@@ -10,7 +10,6 @@ of rational independence, never a proof; the verdict is labeled accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd  # re-exported: standard Euclid
 
 import numpy as np
@@ -41,13 +40,38 @@ def modular_inverse(j: int, n: int) -> int | None:
 
 def rational_reconstruct(x: float, max_den: int, tol: float) -> tuple[int, int] | None:
     """Best continued-fraction approximation p/q with q <= max_den, accepted
-    only when |x - p/q| <= tol.  None signals no rational of that size."""
+    only when |x - p/q| <= tol.  None signals no rational of that size.
+
+    The fit is Fraction(x).limit_denominator(max_den) in plain ints: the
+    exact ratio of float(x) is expanded until the next convergent's denominator
+    would pass max_den, and the closer of the last convergent p1/q1 and the
+    semiconvergent below the cap wins, p1/q1 on a tie.  nan raises
+    ValueError and an infinity OverflowError, as in Fraction.
+    """
     if max_den < 1:
         raise ValueError("max_den must be at least 1")
     check_tolerance(tol)
-    frac = Fraction(x).limit_denominator(max_den)
-    if abs(x - float(frac)) <= tol:
-        return frac.numerator, frac.denominator
+    num, den = float(x).as_integer_ratio()
+    if den <= max_den:
+        p, q = num, den
+    else:
+        p0, q0, p1, q1 = 0, 1, 1, 0
+        n, d = num, den
+        while True:
+            a = n // d
+            q2 = q0 + a * q1
+            if q2 > max_den:
+                break
+            p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+            n, d = d, n - a * d
+        k = (max_den - q0) // q1
+        # p1/q1 lies d/(q1 den) from x, the semiconvergent 1/(q1 (q0 + k q1)) from p1/q1
+        if 2 * d * (q0 + k * q1) <= den:
+            p, q = p1, q1
+        else:
+            p, q = p0 + k * p1, q0 + k * q1
+    if abs(x - p / q) <= tol:
+        return p, q
     return None
 
 

@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, DisconnectedSupport
-from .linalg import relative_tol
+from .errors import DimensionMismatch, DisconnectedSupport, SearchBudgetExhausted
+from .linalg import SpectralDecomposition, hermitian_eigendecomposition, relative_tol
 
 _UNIT_TOL = 1e-12  # on phases, which are dimensionless
 _PROJ_TOL = 1e-9
+_GAP_TOL = 1e-6  # spectral route: minimum eigenvalue gap, relative to max|lambda|
+_ENTRY_FLOOR = 1e-3  # spectral route: smallest |U_vk| of the anchor row, dimensionless
+# placements the backtracking search may make: 10x the 5040-element group
+# of real K_7 (13,699 placements), far short of K_10 (about 9.9e6)
+_PLACEMENT_BUDGET = 150_000
 
 
 @dataclass(eq=False)
@@ -169,6 +174,26 @@ def _has_perfect_matching(allowed: list[list[bool]]) -> bool:
     return all(augment(v, set()) for v in range(len(allowed)))
 
 
+def _tree_phase(raw_u, f, t) -> tuple[np.complex128, complex]:
+    """Raw phase raw_u * f / t of a tree child placed under a parent with raw
+    phase raw_u, and its unit form.  Raw phases stay numpy scalars: Python's
+    complex division rounds differently, and so does abs()."""
+    raw = raw_u * f / t
+    return raw, complex(raw / np.abs(raw))
+
+
+def _verified(a_from: np.ndarray, a_phi: np.ndarray, phi: list[int], unit: list[complex], phase_tol: float):
+    """The monomial (phi, unit) when d_u a_from[u,v] == a_phi[u,v] d_v, with
+    a_phi = a_to[phi][:, phi], holds within phase_tol at every entry, else None."""
+    d = np.array(unit)
+    lhs = d[:, None] * a_from
+    rhs = a_phi * d[None, :]
+    # written so that a NaN from an underflowed phase rejects as well
+    if not float(np.max(np.abs(lhs - rhs))) <= phase_tol:
+        return None
+    return MonomialMatrix(tuple(phi), d)
+
+
 def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, find_all: bool):
     """Backtracking search for monomials M with M @ a_from = a_to @ M.
 
@@ -185,7 +210,8 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     searched unless the rows of the two matrices pair up one to one.
     The magnitude tolerance 1e-9 and phase_tol are relative to max|A_uv|
     over the two matrices.
-    Deterministic: targets are tried in ascending order.
+    Deterministic: targets are tried in ascending order.  More than
+    _PLACEMENT_BUDGET placements raise SearchBudgetExhausted.
     """
     n = a_from.shape[0]
     mag_tol, phase_tol = (relative_tol(tol, (a_from, a_to)) for tol in (1e-9, phase_tol))
@@ -207,9 +233,9 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     results = []
     phi = [-1] * n
     used = [False] * n
-    # raw phases stay numpy scalars: Python's complex division rounds differently
     raw = [np.complex128(1.0)] * n
     unit = [1.0 + 0j] * n  # raw / |raw|
+    placements = 0
 
     def fits(depth: int, v: int, w: int) -> bool:
         row_v, row_w, dv = rows_from[v], rows_to[w], unit[v]
@@ -222,17 +248,13 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
         return True
 
     def accept() -> bool:
-        d = np.array(unit)
-        # full verification: d_u * a_from[u,v] == a_to[phi(u),phi(v)] * d_v;
-        # written so that a NaN from an underflowed phase rejects as well
-        lhs = d[:, None] * a_from
-        rhs = a_to[np.ix_(phi, phi)] * d[None, :]
-        if not float(np.max(np.abs(lhs - rhs))) <= phase_tol:
-            return False
-        results.append(MonomialMatrix(tuple(phi), d))
-        return True
+        m = _verified(a_from, a_to[np.ix_(phi, phi)], phi, unit, phase_tol)
+        if m is not None:
+            results.append(m)
+        return m is not None
 
     def backtrack(depth: int) -> bool:
+        nonlocal placements
         if depth == n:
             return accept() and not find_all
         v = order[depth]
@@ -241,10 +263,12 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
             if used[w] or not alike[v][w]:
                 continue
             if u is not None:
-                raw[v] = raw[u] * rows_from[u][v] / rows_to[phi[u]][w]
-                unit[v] = complex(raw[v] / np.abs(raw[v]))  # not abs(): that rounds differently
+                raw[v], unit[v] = _tree_phase(raw[u], rows_from[u][v], rows_to[phi[u]][w])
             if not fits(depth, v, w):
                 continue
+            placements += 1
+            if placements > _PLACEMENT_BUDGET:
+                raise SearchBudgetExhausted(f"search budget of {_PLACEMENT_BUDGET} placements exhausted")
             phi[v] = w
             used[w] = True
             if backtrack(depth + 1):
@@ -257,18 +281,83 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     return results
 
 
-def enumerate_switching_automorphisms(g, phase_tol: float = 1e-9) -> SwitchingGroup:
+def _spectral_search(
+    adj: np.ndarray, sd: SpectralDecomposition, tree: list[tuple[int, int]], phase_tol: float
+):
+    """The monomials commuting with adj, read off a simple spectrum, or None
+    when the spectrum does not pin them down; tree is adj's BFS spanning tree.
+
+    With distinct eigenvalues every M commuting with A = U diag(lambda) U^H
+    is U diag(theta) U^H, and M e_v = d e_w gives theta_k = d conj(U_wk) /
+    conj(U_vk).  So for an anchor row v with no zero entry, the candidate
+    M_w = U diag(conj U[w,:] / conj U[v,:]) U^H (d = 1) is the only
+    monomial, up to phase, that can send v to w: n candidates, no search.
+    Each candidate's permutation is read off its column argmax; its phases
+    come from the same tree propagation as the backtracking search and it
+    must pass the same checks.  The argmax is safe while the entry error of
+    M_w, roughly n^1.5 eps max|lambda| / (gap min|U_vk|), stays below 1/2;
+    the preconditions gap > 1e-6 max|lambda| and min|U_vk| > 1e-3 keep it
+    below 1e-5 for n <= 12.
+    """
+    lam, u = sd.eigenvalues, sd.eigenvectors
+    n = len(lam)
+    if n > 1 and not float(np.min(np.diff(lam))) > relative_tol(_GAP_TOL, lam):
+        return None
+    row_min = np.min(np.abs(u), axis=1)
+    v = int(np.argmax(row_min))
+    if not row_min[v] > _ENTRY_FLOOR:
+        return None
+    theta = u.conj() / u[v].conj()  # row w: the eigenvalues of M_w
+    candidates = (u * theta[:, None, :]) @ u.conj().T  # candidates[w] = M_w
+    perms = np.argmax(np.abs(candidates), axis=1)
+    mapped = adj[perms[:, :, None], perms[:, None, :]]  # mapped[w] = adj[phi_w][:, phi_w]
+    # what the search tests before placing: off-diagonal zero pattern and magnitudes
+    mag_tol, phase_tol = (relative_tol(tol, adj) for tol in (1e-9, phase_tol))
+    off_diagonal = ~np.eye(n, dtype=bool)
+    placeable = ~np.any(((adj == 0) != (mapped == 0)) & off_diagonal, axis=(1, 2)) & (
+        np.max(np.abs(np.abs(adj) - np.abs(mapped)), axis=(1, 2)) <= mag_tol
+    )
+    rows = adj.tolist()
+    results = []
+    for phi, a_phi, ok in zip(perms.tolist(), mapped, placeable.tolist()):
+        if not ok or len(set(phi)) < n:
+            continue
+        raw = [np.complex128(1.0)] * n
+        unit = [1.0 + 0j] * n
+        for p, c in tree:
+            raw[c], unit[c] = _tree_phase(raw[p], rows[p][c], rows[phi[p]][phi[c]])
+        m = _verified(adj, a_phi, phi, unit, phase_tol)
+        if m is not None:
+            results.append(m)
+    return results
+
+
+def enumerate_switching_automorphisms(
+    g, phase_tol: float = 1e-9, sd: SpectralDecomposition | None = None
+) -> SwitchingGroup:
     """Enumerate all monomials commuting with g.adjacency, modulo global phase.
 
     The support graph must be connected; otherwise the phase propagation is
     underdetermined and the projective group is not finite.  phase_tol is
     relative to max|A_uv|, so scaling A does not change the group.
+
+    With a simple spectrum and an eigenbasis row free of small entries the
+    group is read off the eigenbasis (see _spectral_search); otherwise a
+    backtracking search over vertex placements finds it, and raises
+    SearchBudgetExhausted after _PLACEMENT_BUDGET placements.  A caller
+    that holds the eigendecomposition of g's adjacency passes it as sd; the
+    group is the same.
     """
     adj = np.asarray(g.adjacency, dtype=complex)
     n = adj.shape[0]
-    if len(_spanning_tree_order(adj)) < n - 1:
+    tree = _spanning_tree_order(adj)
+    if len(tree) < n - 1:
         raise DisconnectedSupport("support graph has more than one component")
-    elements = _monomial_search(adj, adj, phase_tol, find_all=True)
+    if sd is None:
+        sd = hermitian_eigendecomposition(adj)
+    elements = _spectral_search(adj, sd, tree, phase_tol)
+    if elements is None:
+        elements = _monomial_search(adj, adj, phase_tol, find_all=True)
     elements.sort(key=lambda m: m.perm)
     order = len(elements)
     # Connected support makes the group faithful on permutations: two elements

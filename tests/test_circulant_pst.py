@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -402,3 +403,13 @@ class TestUpstScaleInvariance:
             assert (r.certificate.j, r.certificate.c) == (base.certificate.j, base.certificate.c)
             assert r.cycle_element.perm == base.cycle_element.perm
             assert r.certificate.beta / s == pytest.approx(base.certificate.beta, rel=1e-12)
+
+
+def test_real_k12_unsupported_at_the_search_budget():
+    # 12! switching automorphisms on a degenerate spectrum: the group search
+    # gives up at its budget, which certification reports as unsupported
+    g = HermitianGraph(n=12, adjacency=np.ones((12, 12)) - np.eye(12))
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedGraph, match="search budget"):
+        upst_certify(g)
+    assert time.perf_counter() - start < 30.0

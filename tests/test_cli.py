@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -332,3 +333,16 @@ class TestTransfer:
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+def test_analyze_real_k10_stops_at_the_search_budget(tmp_path, capsys):
+    # real K_10 has 10! switching automorphisms and a degenerate spectrum;
+    # the backtracking search stops at its budget instead of listing them
+    path = str(tmp_path / "k10.hg")
+    assert run(capsys, "construct", "circulant", "0,1,1,1,1,1,1,1,1,1", "-o", path)[0] == 0
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", path)
+    assert time.perf_counter() - start < 30.0
+    assert code == 0 and err == ""
+    assert "swaut: skipped (search budget of " in out
+    assert "upst: Unsupported (search budget of " in out

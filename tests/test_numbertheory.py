@@ -1,11 +1,12 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hermwalk import gcd, independence_screen, integer_relation, modular_inverse
+from hermwalk import gcd, independence_screen, integer_relation, modular_inverse, rational_reconstruct
 from hermwalk.numbertheory import _lll_reduce
 
 
@@ -176,3 +177,54 @@ class TestIndependenceScreen:
         r2 = independence_screen(xs)
         assert r1.likely_independent == r2.likely_independent
         assert r1.relation == r2.relation
+
+
+def fraction_reconstruct(x, max_den, tol):
+    """Reference: the Fraction-based fit."""
+    frac = Fraction(x).limit_denominator(max_den)
+    return (frac.numerator, frac.denominator) if abs(x - float(frac)) <= tol else None
+
+
+class TestRationalReconstructOracle:
+    @pytest.mark.parametrize("max_den", [1, 2, 7, 10**4, 10**6])
+    def test_matches_fraction_on_random_values(self, rng, max_den):
+        xs = np.concatenate(
+            [
+                rng.standard_normal(400),
+                rng.standard_normal(100) * 1e6,
+                rng.integers(-60, 60, 200) / rng.integers(1, 90, 200),
+                np.arange(-5.0, 6.0),  # integers, 0.0 and negatives
+            ]
+        )
+        for x in xs:
+            for tol in (1e-9, 1e-3, 10.0):
+                assert rational_reconstruct(x, max_den, tol) == fraction_reconstruct(x, max_den, tol)
+
+    def test_matches_fraction_on_dyadic_values_and_ties(self):
+        # j / 2^m: the denominator is either within the cap already or the
+        # value may sit exactly midway between the two candidate bounds
+        for m in range(7):
+            for j in range(-3 * 2**m, 3 * 2**m + 1):
+                x = j / 2**m
+                for max_den in range(1, 2**m + 2):
+                    assert rational_reconstruct(x, max_den, 1.0) == fraction_reconstruct(x, max_den, 1.0)
+
+    def test_ties_go_to_the_last_convergent(self):
+        # 0.5 is midway between 0/1 and 1/1, 0.25 between 0/1 and 1/2, 0.75
+        # between 1/2 and 1/1; the convergent, not the semiconvergent, wins
+        assert rational_reconstruct(0.5, 1, 1.0) == (0, 1)
+        assert rational_reconstruct(-0.5, 1, 1.0) == (-1, 1)
+        assert rational_reconstruct(0.25, 2, 1.0) == (0, 1)
+        assert rational_reconstruct(0.75, 2, 1.0) == (1, 1)
+
+    def test_denominator_within_cap_is_exact(self):
+        assert rational_reconstruct(0.375, 8, 1e-300) == (3, 8)
+        assert rational_reconstruct(-2.0, 1, 1e-300) == (-2, 1)
+        assert rational_reconstruct(7, 1, 1e-300) == (7, 1)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_raises_like_fraction(self, x):
+        with pytest.raises(Exception) as expected:
+            Fraction(x)
+        with pytest.raises(expected.type):
+            rational_reconstruct(x, 10, 1e-9)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,3 +178,30 @@ class TestNecessaryConditionsTogether:
     def test_generic_graph_fails_flatness(self, rng):
         sd = sd_of(random_hermitian(rng, 5))
         assert not flat_eigenbasis_check(sd)[0]
+
+
+class TestRatioEntriesOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_entries_match_fraction_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 3 + seed
+        if seed % 2:
+            lam = rng.integers(-9, 10, n).astype(float)  # rational ratios
+        else:
+            lam = rng.standard_normal(n)  # mostly irrational ratios
+        lam[-1] = -np.sum(lam[:-1])
+        sd = sd_of(np.diag(lam).astype(complex))
+        report = eigenvalue_ratio_rationality(sd, 10**4, 1e-9)
+        want = []
+        for k in np.flatnonzero(np.abs(sd.eigenvalues) > 1e-9 * np.max(np.abs(sd.eigenvalues))):
+            for j in range(n):
+                if j != k:
+                    ratio = float(sd.eigenvalues[j] / sd.eigenvalues[k])
+                    frac = Fraction(ratio).limit_denominator(10**4)
+                    if abs(ratio - float(frac)) <= 1e-9:
+                        want.append((j, k, ratio, frac.numerator, frac.denominator, True))
+                    else:
+                        want.append((j, k, ratio, None, None, False))
+        got = [(e.j, e.k, e.value, e.numerator, e.denominator, e.rational) for e in report.entries]
+        assert got == want
+        assert report.all_rational == all(w[-1] for w in want)

@@ -17,14 +17,17 @@ from hermwalk import (
     construct_k4,
     enumerate_switching_automorphisms,
     from_entries,
+    hadamard_graph,
+    hermitian_eigendecomposition,
     is_switching_isomorphic,
     projective_order,
     projectively_equal,
     structure_report,
 )
-from hermwalk.errors import DimensionMismatch, DisconnectedSupport
+from hermwalk import swaut
+from hermwalk.errors import DimensionMismatch, DisconnectedSupport, SearchBudgetExhausted
 
-from conftest import max_abs
+from conftest import max_abs, random_hermitian
 
 
 def path_graph(n):
@@ -413,3 +416,93 @@ class TestSwitchingIsomorphism:
             is_switching_isomorphic(split, path_graph(4))
         with pytest.raises(DisconnectedSupport):
             is_switching_isomorphic(path_graph(4), split)
+
+
+def upst_form_circulant(n, seed):
+    """Switched circulant with Fourier eigenvalues 0.3 + (k + c_k n), the
+    universal-PST spectral form with j = 1."""
+    rng = np.random.default_rng(seed)
+    lam = 0.3 + np.arange(n) + n * rng.integers(-1, 2, n)
+    f = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / math.sqrt(n)
+    a = (f * lam) @ f.conj().T
+    return switched(HermitianGraph(n=n, adjacency=(a + a.conj().T) / 2.0), seed)
+
+
+def random_dense(n, seed):
+    return HermitianGraph(n=n, adjacency=random_hermitian(np.random.default_rng(seed), n))
+
+
+SPECTRAL_ROUTE_GRAPHS = (
+    [lambda p=p: switched(construct_cp(p), p) for p in (3, 5, 7, 11, 13)]
+    + [lambda n=n: upst_form_circulant(n, n) for n in range(3, 13)]
+    + [
+        lambda: switched(cartesian_product(construct_k2("X"), construct_cp(5)), 1),
+        lambda: hadamard_graph(2, [k / 4 for k in range(4)]),
+        lambda: hadamard_graph(3, [k / 8 for k in range(8)]),
+        lambda: path_graph(3),
+    ]
+    + [lambda n=n: random_dense(n, n) for n in (2, 5, 9, 12)]
+)
+
+
+def spectral_route(adj, sd=None):
+    sd = hermitian_eigendecomposition(adj) if sd is None else sd
+    return swaut._spectral_search(adj, sd, swaut._spanning_tree_order(adj), 1e-9)
+
+
+class TestSpectralRoute:
+    """The group read off a simple spectrum against the backtracking search."""
+
+    @pytest.mark.parametrize("make", SPECTRAL_ROUTE_GRAPHS)
+    def test_bit_identical_to_backtracking(self, make):
+        g = make()
+        adj = np.asarray(g.adjacency, dtype=complex)
+        sd = hermitian_eigendecomposition(adj)
+        spectral = spectral_route(adj, sd)
+        assert spectral is not None, "the spectral route must be taken"
+        searched = swaut._monomial_search(adj, adj, 1e-9, find_all=True)
+        key = lambda m: m.perm  # noqa: E731
+        assert [m.perm for m in sorted(spectral, key=key)] == [m.perm for m in sorted(searched, key=key)]
+        for got, want in zip(sorted(spectral, key=key), sorted(searched, key=key)):
+            assert np.array_equal(got.phases, want.phases)
+        # the public entry point gives the same elements with or without sd
+        for group in (enumerate_switching_automorphisms(g), enumerate_switching_automorphisms(g, sd=sd)):
+            assert [m.perm for m in group.elements] == [m.perm for m in sorted(searched, key=key)]
+
+    def test_orders(self):
+        assert enumerate_switching_automorphisms(switched(construct_cp(13), 2)).order == 13
+        assert enumerate_switching_automorphisms(upst_form_circulant(12, 3)).order == 12
+        assert enumerate_switching_automorphisms(random_dense(9, 4)).order == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: complete_with_heavy_edges(4, ()),
+            lambda: cartesian_product(construct_cp(3), construct_cp(3)),
+            lambda: switched(cartesian_product(construct_k2("X"), construct_k2("X")), 5),
+        ],
+    )
+    def test_degenerate_spectrum_falls_back(self, make):
+        g = make()
+        adj = np.asarray(g.adjacency, dtype=complex)
+        assert spectral_route(adj) is None
+        group = enumerate_switching_automorphisms(g)
+        assert [m.perm for m in group.elements] == sorted(
+            m.perm for m in swaut._monomial_search(adj, adj, 1e-9, find_all=True)
+        )
+
+    def test_p3_zero_entries_still_give_the_reflection(self):
+        # the eigenvector of 0 vanishes at the middle vertex; an end vertex anchors
+        adj = np.asarray(path_graph(3).adjacency, dtype=complex)
+        spectral = spectral_route(adj)
+        assert sorted(m.perm for m in spectral) == [(0, 1, 2), (2, 1, 0)]
+
+
+class TestPlacementBudget:
+    def test_budget_raises(self, monkeypatch):
+        # real K_5 takes 325 placements
+        monkeypatch.setattr(swaut, "_PLACEMENT_BUDGET", 300)
+        with pytest.raises(SearchBudgetExhausted, match="search budget of 300 placements exhausted"):
+            enumerate_switching_automorphisms(complete_with_heavy_edges(5, ()))
+        monkeypatch.setattr(swaut, "_PLACEMENT_BUDGET", 325)
+        assert enumerate_switching_automorphisms(complete_with_heavy_edges(5, ())).order == 120
