@@ -26,7 +26,7 @@ from .errors import UnsupportedGraph
 from .linalg import SpectralDecomposition, hermitian_eigendecomposition, relative_tol
 from .numbertheory import modular_inverse, rational_reconstruct
 from .swaut import MonomialMatrix, SwitchingGroup, _cycles, enumerate_switching_automorphisms
-from .transfer import TransferKind, TransferReport, pst_check_at_time
+from .transfer import TransferKind, TransferReport, _check_phase_range
 
 _RATIO_MAX_DEN = 10**4
 _RATIO_TOL = 1e-9  # on ratios of eigenvalue differences, dimensionless
@@ -172,14 +172,14 @@ def upst_certify(
     The switching automorphism group is enumerated and its first element
     (by permutation) that is a single n-cycle is taken: the standard shift
     on a plain circulant.  Without one the graph is not circulant up to
-    switching and certification is refused
-    (UnsupportedGraph).  On success the spectral certificate is attempted
-    and, if issued, the full transfer schedule t, 2t, ..., nt is validated
-    to fidelity 1 - 1e-6 on the actual graph.  A caller that has already
-    enumerated the group of g passes it as group, and one that holds the
-    eigendecomposition of g's adjacency passes it as sd; the report is the
-    same.  A group search that exhausts its budget raises
-    SearchBudgetExhausted, a kind of UnsupportedGraph.
+    switching and certification is refused (UnsupportedGraph).  On success
+    the spectral certificate is attempted and, if issued, the full transfer
+    schedule t, 2t, ..., nt is validated to fidelity 1 - 1e-6 on the actual
+    graph from column 0 of exp(-itA) (the reports carry no monomial).  A
+    caller that has already enumerated the group of g passes it as group,
+    and one that holds the eigendecomposition of g's adjacency passes it as
+    sd; the report is the same.  A group search that exhausts its budget
+    raises SearchBudgetExhausted, a kind of UnsupportedGraph.
     """
     adj = np.asarray(g.adjacency, dtype=complex)
     n = adj.shape[0]
@@ -197,21 +197,26 @@ def upst_certify(
     if isinstance(cert, NoCertificate):
         return UpstReport(universal=False, failure=cert, cycle_element=cycle)
     t1, m = pst_time(cert)
+    # column 0 of exp(-i k t1 A) at each step's target, for k = 1..n, in one product
+    times = t1 * np.arange(1, n + 1)
+    _check_phase_range(sd.eigenvalues, times[-1], "t")
+    targets = [old_of_new[k % n] for k in range(1, n + 1)]
+    coeffs = sd.eigenvectors[targets] * sd.eigenvectors[0].conj()
+    fids = np.abs(np.sum(np.exp(-1j * np.outer(times, sd.eigenvalues)) * coeffs, axis=1))
     transfers = []
-    for k in range(1, n + 1):
-        target = old_of_new[k % n]
-        report = pst_check_at_time(sd, 0, target, k * t1, tol=_VALIDATE_TOL)
-        if report.kind is not TransferKind.PERFECT_AT_TIME:
+    for k, (target, t, f) in enumerate(zip(targets, times.tolist(), fids.tolist()), start=1):
+        if f < 1.0 - _VALIDATE_TOL:
             return UpstReport(
                 universal=False,
                 failure=NoCertificate(
                     CertificateFailure.CONGRUENCE_FAIL,
-                    f"schedule validation failed at step {k} (fidelity {report.fidelity:.9f})",
+                    f"schedule validation failed at step {k} (fidelity {f:.9f})",
                 ),
                 certificate=cert,
                 cycle_element=cycle,
             )
-        transfers.append(report)
+        epsilon = max(0.0, 1.0 - f)
+        transfers.append(TransferReport(0, target, t, f, TransferKind.PERFECT_AT_TIME, epsilon))
     return UpstReport(
         universal=True,
         certificate=cert,

@@ -176,11 +176,15 @@ def _cmd_analyze(args) -> int:
         for v in np.sort(np.abs(sd.eigenvalues)):
             if not magnitudes or v - magnitudes[-1] > args.screen_tol:
                 magnitudes.append(float(v))
-        screen = numbertheory.independence_screen(np.array(magnitudes), args.screen_tol)
-        if screen.likely_independent:
-            print(f"independence-screen: likely-independent ({len(screen.values)} values)")
+        try:
+            screen = numbertheory.independence_screen(np.array(magnitudes), args.screen_tol)
+        except SearchBudgetExhausted as exc:
+            print(f"independence-screen: skipped ({exc})")
         else:
-            print(f"independence-screen: found-relation {screen.relation}")
+            if screen.likely_independent:
+                print(f"independence-screen: likely-independent ({len(screen.values)} values)")
+            else:
+                print(f"independence-screen: found-relation {screen.relation}")
 
         group = None
         unsupported = None  # a group search that failed fails the certificate the same way

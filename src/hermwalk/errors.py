@@ -95,4 +95,4 @@ class UnsupportedGraph(HermwalkError):
 
 
 class SearchBudgetExhausted(UnsupportedGraph):
-    """A switching search placed more vertices than its fixed budget allows."""
+    """A bounded search (switching placements, LLL iterations) hit its fixed budget."""

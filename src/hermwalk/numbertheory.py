@@ -14,6 +14,7 @@ from math import gcd  # re-exported: standard Euclid
 
 import numpy as np
 
+from .errors import SearchBudgetExhausted
 from .linalg import check_tolerance
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 _LOVASZ_DELTA = 0.75
+_LLL_BUDGET = 100_000  # iterations of the LLL loop; H4 takes about 500
 
 
 def modular_inverse(j: int, n: int) -> int | None:
@@ -78,37 +80,42 @@ def rational_reconstruct(x: float, max_den: int, tol: float) -> tuple[int, int] 
 def _lll_reduce(basis: np.ndarray, delta: float = _LOVASZ_DELTA) -> np.ndarray:
     """Floating-point LLL on the rows of `basis` (Cohen, Alg. 2.6.3).
 
-    Size reduction leaves the Gram-Schmidt vectors unchanged, so it updates
-    the rows and mu in place; the Gram-Schmidt data comes from one QR
-    factorization at the start and after every swap.
+    One QR factorization gives the Gram-Schmidt coefficients mu and squared
+    norms B, and none follows: size reduction leaves the Gram-Schmidt
+    vectors unchanged, so it updates the rows and mu in place, and a swap
+    updates mu and B in O(rows), all on Python floats.  Raises
+    SearchBudgetExhausted after _LLL_BUDGET iterations.
     """
-    b = basis.astype(float).copy()
-    rows = b.shape[0]
-
-    def gso():
-        r = np.linalg.qr(b.T, mode="r")
-        diag = np.diag(r)
-        return (r / diag[:, None]).T, diag**2
-
-    mu, star_sq = gso()
+    r = np.linalg.qr(basis.T.astype(float), mode="r")
+    diag = np.diag(r)
+    mu, star_sq = (r / diag[:, None]).T.tolist(), (diag**2).tolist()
+    b = basis.astype(float).tolist()
     k = 1
-    guard = 0
-    while k < rows:
-        guard += 1
-        if guard > 100_000:
-            break
+    for _ in range(_LLL_BUDGET):
+        if k == len(b):
+            return np.array(b)
+        mu_k = mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(mu_k[j])
             if q:
-                b[k] -= q * b[j]
-                mu[k, : j + 1] -= q * mu[j, : j + 1]
-        if star_sq[k] >= (delta - mu[k, k - 1] ** 2) * star_sq[k - 1]:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                mu_k[: j + 1] = [x - q * y for x, y in zip(mu_k, mu[j][: j + 1])]
+        m = mu_k[k - 1]
+        if star_sq[k] >= (delta - m * m) * star_sq[k - 1]:
             k += 1
-        else:
-            b[[k - 1, k]] = b[[k, k - 1]]
-            mu, star_sq = gso()
-            k = max(k - 1, 1)
-    return b
+            continue
+        # swap rows k-1 and k, then rotate mu and B of the pair in place
+        b[k - 1], b[k] = b[k], b[k - 1]
+        mu[k - 1][: k - 1], mu_k[: k - 1] = mu_k[: k - 1], mu[k - 1][: k - 1]
+        big = star_sq[k] + m * m * star_sq[k - 1]
+        mu_k[k - 1] = m_new = m * star_sq[k - 1] / big
+        star_sq[k - 1], star_sq[k] = big, star_sq[k - 1] * star_sq[k] / big
+        for mu_i in mu[k + 1 :]:
+            t = mu_i[k]
+            mu_i[k] = mu_i[k - 1] - m * t
+            mu_i[k - 1] = t + m_new * mu_i[k]
+        k = max(k - 1, 1)
+    raise SearchBudgetExhausted(f"search budget of {_LLL_BUDGET} LLL iterations exhausted")
 
 
 def _normalize_sign(a: np.ndarray) -> np.ndarray:
@@ -169,8 +176,8 @@ def independence_screen(eigs, tol: float = 1e-10) -> IndependenceReport:
 
     Exact duplicates and values within tol of zero are dropped before the
     lattice search (coefficient bound 10^4).  The screened set may exceed
-    the public integer_relation size cap; the search itself has no such
-    limit, only a reliability one.
+    the public integer_relation size cap; the search has no size limit, only
+    a reliability one and an iteration budget (SearchBudgetExhausted).
     """
     check_tolerance(tol)
     values = np.unique(np.asarray(eigs, dtype=float))

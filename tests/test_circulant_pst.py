@@ -26,6 +26,7 @@ from hermwalk import (
 )
 from hermwalk import circulant_pst
 from hermwalk.errors import UnsupportedGraph
+from hermwalk.linalg import SpectralDecomposition
 from hermwalk.swaut import _cycles
 
 from conftest import random_hermitian_circulant_weights
@@ -413,3 +414,49 @@ def test_real_k12_unsupported_at_the_search_budget():
     with pytest.raises(UnsupportedGraph, match="search budget"):
         upst_certify(g)
     assert time.perf_counter() - start < 30.0
+
+
+class TestScheduleValidation:
+    # the schedule is read off column 0 of exp(-i k t1 A) for k = 1..n in one
+    # product; each step must agree with pst_check_at_time at the same time
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_matches_pst_check_at_time(self, rng, n):
+        j = int(rng.choice([v for v in range(1, n) if math.gcd(v, n) == 1]))
+        c = [0] + [int(v) for v in rng.integers(-2, 3, size=n - 1)]
+        lam = [0.7 * (j * k + c[k] * n) for k in range(n)]
+        base = circulant_from_fourier_eigenvalues(lam).adjacency
+        g = HermitianGraph(n=n, adjacency=switched_relabeled(base, rng))
+        # any unitary eigenbasis will do; random column phases make row 0 complex
+        sd = hermitian_eigendecomposition(g.adjacency)
+        phases = np.exp(2j * np.pi * rng.random(n))
+        sd = SpectralDecomposition(sd.eigenvalues, sd.eigenvectors * phases)
+        report = upst_certify(g, sd=sd)
+        assert report.universal and len(report.transfers) == n
+        orbit = _cycles(report.cycle_element.perm)[0]
+        for k, r in enumerate(report.transfers, start=1):
+            oracle = pst_check_at_time(sd, 0, r.target, r.time, tol=1e-6)
+            assert (r.source, r.target, r.kind) == (0, orbit[k % n], oracle.kind)
+            assert r.time == k * report.base_time
+            assert r.fidelity == pytest.approx(oracle.fidelity, abs=1e-12)
+            assert r.epsilon == pytest.approx(oracle.epsilon, abs=1e-12)
+            assert r.monomial is None
+
+    def test_failed_step_reports_its_fidelity(self, monkeypatch):
+        # halve the certified time: step 1 misses, with the fidelity at t1/2
+        certified_time = circulant_pst.pst_time
+
+        def half_time(cert):
+            t1, m = certified_time(cert)
+            return t1 / 2, m
+
+        monkeypatch.setattr(circulant_pst, "pst_time", half_time)
+        g = construct_cp(3)
+        report = upst_certify(g)
+        assert not report.universal and report.transfers == []
+        assert report.failure.reason is CertificateFailure.CONGRUENCE_FAIL
+        target = _cycles(report.cycle_element.perm)[0][1]
+        sd = hermitian_eigendecomposition(g.adjacency)
+        expected = fidelity(sd, 0, target, half_time(report.certificate)[0])
+        prefix = "schedule validation failed at step 1 (fidelity "
+        assert report.failure.detail.startswith(prefix)
+        assert float(report.failure.detail[len(prefix) : -1]) == pytest.approx(expected, abs=1e-9)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from hermwalk import HermitianGraph, construct_cp, load_graph, save_graph, transfer
+from hermwalk import HermitianGraph, construct_cp, load_graph, numbertheory, save_graph, transfer
 from hermwalk.cli import main
 
 
@@ -346,3 +346,15 @@ def test_analyze_real_k10_stops_at_the_search_budget(tmp_path, capsys):
     assert code == 0 and err == ""
     assert "swaut: skipped (search budget of " in out
     assert "upst: Unsupported (search budget of " in out
+
+
+def test_analyze_reports_an_exhausted_screen_budget(tmp_path, capsys, monkeypatch):
+    # the screen no longer returns an unreduced basis when its loop budget
+    # runs out; analyze says it skipped the screen and finishes the report
+    path = str(tmp_path / "h4.hg")
+    assert run(capsys, "construct", "hadamard", "4", "-o", path)[0] == 0
+    monkeypatch.setattr(numbertheory, "_LLL_BUDGET", 10)
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 0 and err == ""
+    assert "independence-screen: skipped (search budget of 10 LLL iterations exhausted)\n" in out
+    assert "\nupst: " in out

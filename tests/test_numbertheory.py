@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from hermwalk import gcd, independence_screen, integer_relation, modular_inverse, rational_reconstruct
+from hermwalk import numbertheory
+from hermwalk.errors import SearchBudgetExhausted
 from hermwalk.numbertheory import _lll_reduce
 
 
@@ -228,3 +230,126 @@ class TestRationalReconstructOracle:
             Fraction(x)
         with pytest.raises(expected.type):
             rational_reconstruct(x, 10, 1e-9)
+
+
+def qr_lll_reduce(basis, delta=0.75):
+    """Reference LLL: the same steps, with the Gram-Schmidt data refactored
+    by one QR of the whole basis after every swap."""
+    b = basis.astype(float).copy()
+    rows = b.shape[0]
+
+    def gso():
+        r = np.linalg.qr(b.T, mode="r")
+        diag = np.diag(r)
+        return (r / diag[:, None]).T, diag**2
+
+    mu, star_sq = gso()
+    k = 1
+    while k < rows:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q:
+                b[k] -= q * b[j]
+                mu[k, : j + 1] -= q * mu[j, : j + 1]
+        if star_sq[k] >= (delta - mu[k, k - 1] ** 2) * star_sq[k - 1]:
+            k += 1
+        else:
+            b[[k - 1, k]] = b[[k, k - 1]]
+            mu, star_sq = gso()
+            k = max(k - 1, 1)
+    return b
+
+
+def integer_det(m):
+    """Exact determinant of an integer matrix: Bareiss elimination in Python ints."""
+    a = [[int(v) for v in row] for row in m]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], sign = a[pivot], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def screen_lattice(xs, tol=1e-10):
+    """The basis independence_screen reduces: rows [I | xs / tol]."""
+    xs = np.asarray(xs, dtype=float)
+    return np.hstack([np.eye(len(xs)), (xs * (1.0 / tol))[:, None]])
+
+
+class TestScreenLattice:
+    # mu and the squared norms are updated per swap, never refactored, so
+    # they drift in float64: on 3200 seeded screen lattices with m = 2..17 the
+    # reduced bases reached |mu| = 0.5011 and fell short of the Lovasz bound
+    # by 4e-4 relative.  The checks allow eta = 0.51, the size-reduction
+    # bound of floating-point LLL (Nguyen-Stehle, fplll), and a shortfall of 1e-3.
+    ETA = 0.51
+    LOVASZ_SHORTFALL = 1e-3
+
+    @staticmethod
+    def unimodular_block(basis, reduced):
+        m = len(basis)
+        block = reduced[:, :m]
+        assert np.array_equal(block, np.rint(block))
+        assert abs(integer_det(block)) == 1
+        return block
+
+    def check_reduced(self, basis, reduced):
+        m = len(basis)
+        block = self.unimodular_block(basis, reduced)
+        # the last column is block @ (x/tol), up to the rounding of the row operations
+        s = basis[:, m]
+        bound = m * np.finfo(float).eps * (np.abs(block) @ np.abs(s))
+        assert np.all(np.abs(reduced[:, m] - block @ s) <= bound)
+        star_sq, mu = gram_schmidt(reduced)
+        assert np.all(np.abs(np.tril(mu, -1)) <= self.ETA)
+        for k in range(1, m):
+            rhs = (0.75 - mu[k, k - 1] ** 2) * star_sq[k - 1]
+            assert star_sq[k] >= rhs * (1 - self.LOVASZ_SHORTFALL)
+
+    @pytest.mark.parametrize("m", range(2, 18))
+    def test_random_magnitudes(self, rng, m):
+        for _ in range(10):
+            basis = screen_lattice(np.abs(rng.standard_normal(m)) * 10 ** rng.uniform(-2, 2, m))
+            self.check_reduced(basis, _lll_reduce(basis))
+
+    def test_64_exponentials_k_over_64(self):
+        basis = screen_lattice(np.exp(np.arange(64) / 64))
+        self.check_reduced(basis, _lll_reduce(basis))
+
+    def test_64_exponentials_0_to_63_stay_unimodular(self):
+        # x/tol reaches e^63/1e-10 = 2.3e37, so every row operation rounds the
+        # last column by far more than a reduced row is long: no float64 LLL
+        # can reduce this lattice (the QR-per-swap reference leaves |mu| near
+        # 5.6e5), but the identity block must still be an integer unimodular
+        # transform
+        basis = screen_lattice(np.exp(np.arange(64.0)))
+        self.unimodular_block(basis, _lll_reduce(basis))
+
+
+class TestQrPerSwapOracle:
+    def test_same_verdicts(self, rng, monkeypatch):
+        sets = []
+        for _ in range(30):
+            m = int(rng.integers(2, 18))
+            sets.append(np.abs(rng.standard_normal(m)) * 10 ** rng.uniform(-3, 3, m))
+            sets.append(np.exp(rng.choice(64, m, replace=False) / 32))
+            # small integer combinations of three values: relations exist
+            sets.append(np.abs(rng.integers(-3, 4, (m, 3)) @ (rng.uniform(0.5, 2.5, 3))))
+        verdicts = [independence_screen(x).likely_independent for x in sets]
+        assert 0 < sum(verdicts) < len(sets)
+        monkeypatch.setattr(numbertheory, "_lll_reduce", qr_lll_reduce)
+        assert [independence_screen(x).likely_independent for x in sets] == verdicts
+
+
+def test_lll_budget_exhausted_raises(monkeypatch):
+    # Hadamard 4 eigenvalues e^0..e^15 take about 500 iterations
+    monkeypatch.setattr(numbertheory, "_LLL_BUDGET", 10)
+    with pytest.raises(SearchBudgetExhausted, match="search budget of 10 LLL iterations exhausted"):
+        independence_screen(np.exp(np.arange(16.0)))
