@@ -24,13 +24,10 @@ import numpy as np
 
 from .errors import UnsupportedGraph
 from .linalg import SpectralDecomposition, hermitian_eigendecomposition, relative_tol
-from .numbertheory import modular_inverse, rational_reconstruct
+from .numbertheory import commensurate, modular_inverse
 from .swaut import MonomialMatrix, SwitchingGroup, _cycles, enumerate_switching_automorphisms
 from .transfer import TransferKind, TransferReport, _check_phase_range
 
-_RATIO_MAX_DEN = 10**4
-_RATIO_TOL = 1e-9  # on ratios of eigenvalue differences, dimensionless
-_LCM_CAP = 10**7
 _VALIDATE_TOL = 1e-6
 _ENUM_CAP = 12
 _TWO_PI = 2.0 * math.pi
@@ -65,10 +62,9 @@ def pst_spectral_certificate(eigs) -> PstCertificate | NoCertificate:
     """Fit eigenvalues (given in Fourier index order) to the universal-PST
     spectral form, or explain why no fit exists.
 
-    The differences mu_k = lambda_k - lambda_0 must all be rational
-    multiples of the first nonzero one; their common scale beta is the
-    lattice generator obtained via an lcm of the reconstructed
-    denominators, j is forced by k = 1, and the congruence
+    The differences mu_k = lambda_k - lambda_0 must be integer multiples
+    m_k of one scale beta, fit by numbertheory.commensurate against the
+    first nonzero one; j is forced by k = 1, and the congruence
     m_k = j*k (mod n) must hold for every k.  Zero differences (1e-9) and
     the residual (1e-8) are relative to max|lambda|.
     """
@@ -81,26 +77,12 @@ def pst_spectral_certificate(eigs) -> PstCertificate | NoCertificate:
     if len(nonzero) == 0:
         return NoCertificate(CertificateFailure.DEGENERATE_SPECTRUM, "all eigenvalues equal")
     r = int(nonzero[0])
-    ratios = []
-    for k in range(n):
-        rec = rational_reconstruct(float(mu[k] / mu[r]), _RATIO_MAX_DEN, _RATIO_TOL)
-        if rec is None:
-            return NoCertificate(
-                CertificateFailure.IRRATIONAL_RATIO,
-                f"mu_{k}/mu_{r} has no rational fit with denominator <= {_RATIO_MAX_DEN}",
-            )
-        ratios.append(rec)
-    lcm = 1
-    for _, q in ratios:
-        lcm = lcm * q // math.gcd(lcm, q)
-        if lcm > _LCM_CAP:
-            # denominators this wild never come from an integer spectrum
-            return NoCertificate(
-                CertificateFailure.IRRATIONAL_RATIO, "denominator lcm overflow"
-            )
-    beta = abs(float(mu[r])) / lcm
-    sign = 1 if mu[r] > 0 else -1
-    m = [sign * p * (lcm // q) for p, q in ratios]
+    fit = commensurate(mu, r)
+    if fit is None:
+        return NoCertificate(
+            CertificateFailure.IRRATIONAL_RATIO, f"the mu_k/mu_{r} have no fit over one denominator"
+        )
+    beta, m = fit
     j = m[1] % n
     if math.gcd(j, n) != 1:
         return NoCertificate(CertificateFailure.NOT_COPRIME, f"j = {j} shares a factor with n = {n}")

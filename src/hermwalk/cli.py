@@ -52,8 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ana.add_argument("path", help="graph file")
     ana.add_argument("--gap-tol", type=float, default=1e-8, help="relative to max|lambda|")
     ana.add_argument("--flat-tol", type=float, default=1e-8, help="dimensionless")
-    ana.add_argument("--ratio-max-den", type=int, default=10**4)
-    ana.add_argument("--ratio-tol", type=float, default=1e-9,
+    ana.add_argument("--ratio-max-den", type=int, default=numbertheory.RATIO_MAX_DEN)
+    ana.add_argument("--ratio-tol", type=float, default=numbertheory.RATIO_TOL,
                      help="ratio fit error; skips eigenvalues under it times max|lambda|")
     ana.add_argument("--screen-tol", type=float, default=1e-10, help="absolute")
 
@@ -165,10 +165,7 @@ def _cmd_analyze(args) -> int:
         except TraceNotZero:
             print(f"ratio-rationality: skipped (trace {np.sum(sd.eigenvalues):.3g} is not zero)")
         else:
-            print(
-                f"ratio-rationality: all_rational={ratio.all_rational} "
-                f"({len(ratio.entries)} pairs)"
-            )
+            print(f"ratio-rationality: all_rational={ratio.all_rational} ({ratio.pairs} pairs)")
 
         # screen distinct frequency magnitudes, dropping the +/- pair structure;
         # magnitudes closer than the screen tolerance are one frequency

@@ -10,7 +10,7 @@ of rational independence, never a proof; the verdict is labeled accordingly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd  # re-exported: standard Euclid
+from math import gcd, lcm  # gcd re-exported: standard Euclid
 
 import numpy as np
 
@@ -21,11 +21,15 @@ __all__ = [
     "gcd",
     "modular_inverse",
     "rational_reconstruct",
+    "commensurate",
     "integer_relation",
     "independence_screen",
     "IndependenceReport",
 ]
 
+RATIO_MAX_DEN = 10**4  # the fit policy for ratios of eigenvalues: denominator cap
+RATIO_TOL = 1e-9  # and fit error, dimensionless
+_LCM_CAP = 10**7  # denominators this wild never come from an integer spectrum
 _LOVASZ_DELTA = 0.75
 _LLL_BUDGET = 100_000  # iterations of the LLL loop; H4 takes about 500
 
@@ -75,6 +79,23 @@ def rational_reconstruct(x: float, max_den: int, tol: float) -> tuple[int, int] 
     if abs(x - p / q) <= tol:
         return p, q
     return None
+
+
+def commensurate(values, r: int) -> tuple[float, list[int]] | None:
+    """Scale g > 0 and integers m with values[k] = g m[k], from the fits
+    p_k/q_k of values[k]/values[r] under RATIO_MAX_DEN and RATIO_TOL:
+    g = |values[r]| / L and m[k] = ±p_k L/q_k, L the lcm of the q_k, the
+    sign that of values[r].  None when a ratio has no fit or L passes _LCM_CAP.
+    """
+    values = [float(v) for v in values]
+    fits = [rational_reconstruct(v / values[r], RATIO_MAX_DEN, RATIO_TOL) for v in values]
+    if None in fits:
+        return None
+    den = lcm(*(q for _, q in fits))
+    if den > _LCM_CAP:
+        return None
+    sign = 1 if values[r] > 0 else -1
+    return abs(values[r]) / den, [sign * p * (den // q) for p, q in fits]
 
 
 def _lll_reduce(basis: np.ndarray, delta: float = _LOVASZ_DELTA) -> np.ndarray:

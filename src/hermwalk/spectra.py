@@ -7,8 +7,9 @@ inequality behind near-unit-modulus convex combinations of unit phasors.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .errors import (
     WeightsInvalid,
 )
 from .linalg import HERMITIAN_TOL, SpectralDecomposition, check_tolerance, relative_tol
-from .numbertheory import rational_reconstruct
+from .numbertheory import RATIO_MAX_DEN, RATIO_TOL, rational_reconstruct
 
 
 def check_hermitian_circulant(w: np.ndarray) -> None:
@@ -78,43 +79,46 @@ class RatioEntry:
     rational: bool
 
 
+def _ratio_entries(lam: list[float], nonzero: list[int], max_den: int, tol: float):
+    for k in nonzero:
+        for j in range(len(lam)):
+            if j != k:
+                ratio = lam[j] / lam[k]
+                rec = rational_reconstruct(ratio, max_den, tol)
+                yield RatioEntry(j, k, ratio, *(rec or (None, None)), rec is not None)
+
+
 @dataclass(eq=False)
 class RatioReport:
-    entries: list[RatioEntry]
     all_rational: bool
+    pairs: int
+    _entries: functools.partial = field(repr=False)
+
+    @functools.cached_property
+    def entries(self) -> list[RatioEntry]:
+        """Every pair's fit, built on first access."""
+        return list(self._entries())
 
 
 def eigenvalue_ratio_rationality(
-    sd: SpectralDecomposition, max_den: int = 10**4, tol: float = 1e-9
+    sd: SpectralDecomposition, max_den: int = RATIO_MAX_DEN, tol: float = RATIO_TOL
 ) -> RatioReport:
     """Test whether every ratio lambda_j / lambda_k (nonzero denominator) is
-    rational, via continued-fraction reconstruction with a denominator cap.
+    rational, via continued-fraction reconstruction with a denominator cap;
+    all_rational stops at the first irrational ratio.
 
     Requires a traceless matrix, within 1e-9 max|lambda|: the hypothesis under
     which rationality of the ratios is necessary.  Pairs with |lambda_k| <= tol
-    max|lambda| are skipped: a zero denominator carries no information here.
+    max|lambda| are skipped: a zero denominator carries no information here,
+    and with no other pair the condition holds vacuously.
     """
     check_tolerance(tol)
     lam = sd.eigenvalues
     if abs(float(np.sum(lam))) > relative_tol(1e-9, lam):
         raise TraceNotZero("eigenvalues do not sum to zero within 1e-9 of max|lambda|")
     nonzero = np.flatnonzero(np.abs(lam) > relative_tol(tol, lam)).tolist()
-    if not nonzero:
-        raise ValueError("need at least one eigenvalue with modulus above tol")
-    entries = []
-    all_rational = True
-    for k in nonzero:
-        for j in range(len(lam)):
-            if j == k:
-                continue
-            ratio = float(lam[j] / lam[k])
-            rec = rational_reconstruct(ratio, max_den, tol)
-            if rec is None:
-                entries.append(RatioEntry(j, k, ratio, None, None, False))
-                all_rational = False
-            else:
-                entries.append(RatioEntry(j, k, ratio, rec[0], rec[1], True))
-    return RatioReport(entries=entries, all_rational=all_rational)
+    entries = functools.partial(_ratio_entries, lam.tolist(), nonzero, max_den, tol)
+    return RatioReport(all(e.rational for e in entries()), len(nonzero) * (len(lam) - 1), entries)
 
 
 def phase_alignment(coefficients, tol: float) -> tuple[bool, float]:

@@ -358,3 +358,16 @@ def test_analyze_reports_an_exhausted_screen_budget(tmp_path, capsys, monkeypatc
     assert code == 0 and err == ""
     assert "independence-screen: skipped (search budget of 10 LLL iterations exhausted)\n" in out
     assert "\nupst: " in out
+
+
+@pytest.mark.parametrize("text", ["hgraph 1 1\n", "hgraph 1 3\n"], ids=["single-vertex", "edgeless-3"])
+def test_analyze_zero_spectrum_full_report(tmp_path, capsys, text):
+    # no nonzero eigenvalue: the ratio condition holds vacuously, and the
+    # rest of the report follows
+    path = tmp_path / "zero.hg"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    assert "ratio-rationality: all_rational=True (0 pairs)" in out.splitlines()
+    assert "independence-screen: likely-independent (0 values)" in out
+    assert out.splitlines()[-1].startswith("upst: ")

@@ -9,7 +9,8 @@ import pytest
 from hermwalk import gcd, independence_screen, integer_relation, modular_inverse, rational_reconstruct
 from hermwalk import numbertheory
 from hermwalk.errors import SearchBudgetExhausted
-from hermwalk.numbertheory import _lll_reduce
+from hermwalk.circulant_pst import CertificateFailure, NoCertificate, pst_spectral_certificate
+from hermwalk.numbertheory import _lll_reduce, commensurate
 
 
 def brute_force_relation(xs, bound, tol):
@@ -353,3 +354,67 @@ def test_lll_budget_exhausted_raises(monkeypatch):
     monkeypatch.setattr(numbertheory, "_LLL_BUDGET", 10)
     with pytest.raises(SearchBudgetExhausted, match="search budget of 10 LLL iterations exhausted"):
         independence_screen(np.exp(np.arange(16.0)))
+
+
+def commensurate_reference(values, r):
+    """The fit policy spelled out with Fraction.limit_denominator and math.lcm."""
+    ratios = [v / values[r] for v in values]
+    fracs = [Fraction(x).limit_denominator(numbertheory.RATIO_MAX_DEN) for x in ratios]
+    if any(abs(x - float(f)) > numbertheory.RATIO_TOL for x, f in zip(ratios, fracs)):
+        return None
+    den = math.lcm(*(f.denominator for f in fracs))
+    if den > numbertheory._LCM_CAP:
+        return None
+    return abs(values[r]) / den, [int(f * den) * (1 if values[r] > 0 else -1) for f in fracs]
+
+
+class TestCommensurate:
+    def check(self, values, r):
+        got, want = commensurate(values, r), commensurate_reference(values, r)
+        assert got == want
+        if got is not None:
+            g, m = got
+            assert g > 0 and all(type(v) is int for v in m)
+            assert np.allclose(values, g * np.array(m, dtype=float), rtol=0, atol=1e-8 * max(map(abs, values)))
+        return got
+
+    def test_integer_vectors(self, rng):
+        for _ in range(100):
+            values = [float(v) for v in rng.integers(-50, 51, int(rng.integers(2, 13)))]
+            values[0] = values[0] or 7.0
+            r = int(rng.integers(len(values)))
+            if values[r]:
+                assert self.check(values, r) is not None
+
+    def test_rational_vectors_with_denominators_up_to_50(self, rng):
+        fitted = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            p = rng.integers(1, 21, n) * rng.choice([-1, 1], n)
+            q = rng.integers(1, 51, n)
+            scale = math.sqrt(2.0) * 10 ** rng.uniform(-6, 6)
+            fitted += self.check([scale * int(a) / int(b) for a, b in zip(p, q)], 0) is not None
+        assert fitted > 100
+
+    def test_irrational_vectors(self, rng):
+        for _ in range(100):
+            values = rng.standard_normal(int(rng.integers(2, 13))).tolist()
+            assert self.check(values, 0) is None
+
+    def test_hand_checked(self):
+        # 3/2, -1/3 and 1 of the scale 2: lcm 6, g = 2/6
+        g, m = commensurate([3.0, -2.0 / 3.0, 2.0], 2)
+        assert m == [9, -2, 6] and g == 2.0 / 6.0
+        # ratios 1, -1/2 and 0 to a negative values[r]: m carries its sign
+        assert commensurate([-4.0, 2.0, 0.0], 0) == (2.0, [-2, 1, 0])
+
+    def test_lcm_past_the_cap(self):
+        # each ratio fits on its own, but 9973 * 9967 passes the lcm cap
+        values = [0.0, 1.0, 1.0 / 9973, 1.0 / 9967]
+        assert rational_reconstruct(values[2], 10**4, 1e-9) == (1, 9973)
+        assert rational_reconstruct(values[3], 10**4, 1e-9) == (1, 9967)
+        assert commensurate(values, 1) is None
+        assert commensurate_reference(values, 1) is None
+        result = pst_spectral_certificate(values)
+        assert isinstance(result, NoCertificate)
+        assert result.reason is CertificateFailure.IRRATIONAL_RATIO

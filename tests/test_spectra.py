@@ -16,7 +16,9 @@ from hermwalk import (
     hadamard_graph,
     hermitian_eigendecomposition,
     phase_alignment,
+    rational_reconstruct,
 )
+from hermwalk import spectra
 from hermwalk.errors import NotHermitianCirculant, TraceNotZero, WeightsInvalid
 
 from conftest import random_hermitian
@@ -205,3 +207,31 @@ class TestRatioEntriesOracle:
         got = [(e.j, e.k, e.value, e.numerator, e.denominator, e.rational) for e in report.entries]
         assert got == want
         assert report.all_rational == all(w[-1] for w in want)
+
+
+class TestRatioPassStopsEarly:
+    def test_c61_stops_at_the_first_irrational_ratio(self, monkeypatch):
+        sd = sd_of(construct_cp(61).adjacency)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return rational_reconstruct(*args)
+
+        monkeypatch.setattr(spectra, "rational_reconstruct", counting)
+        report = eigenvalue_ratio_rationality(sd)
+        assert not report.all_rational
+        assert 1 <= len(calls) <= sd.n
+        # one zero eigenvalue: 60 denominators times 60 numerators
+        assert report.pairs == 60 * 60 == len(report.entries)
+
+    def test_entries_read_a_snapshot_of_the_spectrum(self):
+        sd = sd_of(construct_cp(3).adjacency)
+        report = eigenvalue_ratio_rationality(sd)
+        want = [(e.j, e.k, e.value) for e in eigenvalue_ratio_rationality(sd).entries]
+        sd.eigenvalues[:] = [-1.0, 0.5, 0.5]
+        assert [(e.j, e.k, e.value) for e in report.entries] == want
+
+    def test_zero_spectrum_is_vacuously_rational(self):
+        report = eigenvalue_ratio_rationality(sd_of(np.zeros((3, 3), dtype=complex)))
+        assert report.all_rational and report.pairs == 0 and report.entries == []
