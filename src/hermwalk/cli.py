@@ -244,14 +244,14 @@ def _cmd_transfer(args) -> int:
     try:
         sd = hermitian_eigendecomposition(g.adjacency)
         if args.mode == "scan":
-            scan = transfer.fidelity_scan(sd, args.a, args.b, args.tmax, args.samples)
-            csv = transfer.scan_to_csv(scan)
+            # the CSV is written block by block as the scan produces it
+            blocks = transfer._scan_blocks(sd, args.a, args.b, args.tmax, args.samples)
             if args.out:
                 with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(csv)
+                    fh.writelines(transfer._csv_texts(blocks))
                 print(f"wrote {args.out}: {args.samples} samples over [0, {args.tmax:g}]")
             else:
-                sys.stdout.write(csv)
+                sys.stdout.writelines(transfer._csv_texts(blocks))
         elif args.mode == "pgst":
             report = transfer.pgst_search(sd, args.a, args.b, args.target, args.tmax)
             print(

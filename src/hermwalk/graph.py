@@ -146,16 +146,21 @@ def hadamard_graph(n: int, alphas=None) -> HermitianGraph:
     Sylvester Hadamard matrix of order 2^n.
 
     The eigenvectors are the (flat) Hadamard columns and the eigenvalues are
-    exactly exp(alpha_z).  Default alphas are 0, 1, ..., 2^n - 1; they must
-    be pairwise distinct so the exponentials stay rationally independent
-    (Lindemann), and finite and at most log(float64 max), about 709.78, so
-    that exp(alpha) is a finite float64; they are checked before exp runs.
+    exactly exp(alpha_z).  Default alphas are k * min(1, 2^(4 - n)) for
+    k = 0..2^n - 1, 2^n evenly spaced values in [0, min(2^n, 16)): 0..2^n - 1
+    for n <= 4, and steps 1/2 and 1/4 for n = 5 and 6, which keep the
+    eigenvalues below e^16 so that float64 resolves a flat, simple spectrum
+    (0..2^n - 1 gives eigenvalues up to e^63 at n = 6, and flatness fails).
+    Alphas must be pairwise distinct so the exponentials stay rationally
+    independent (Lindemann), and finite and at most log(float64 max), about
+    709.78, so that exp(alpha) is a finite float64; they are checked before
+    exp runs.
     """
     if not 1 <= n <= 6:
         raise OrderTooLarge("order exponent n must be between 1 and 6")
     size = 2**n
     if alphas is None:
-        alphas = np.arange(size, dtype=float)
+        alphas = np.arange(size) * min(1.0, 2.0 ** (4 - n))
     alphas = np.asarray(alphas, dtype=float)
     if alphas.shape != (size,):
         raise ValueError(f"alphas must have length {size}")

@@ -39,6 +39,24 @@ The fidelity scan, whose step is the caller's, and the periodicity walk use
 a grid that is not kept.  Times, horizons and scan ends
 must keep t * max|lambda| within _MAX_PHASE.  The Kronecker search walks its
 own grid of mod-2*pi phase distances, sharing only the chunks and _GRID_CAP.
+
+The scan's CSV is produced in the same chunks, as blocks whose formatting
+temporaries, _CSV_ROW_BYTES a row, stay within _CHUNK_BYTES; the command
+line writes each block as it comes.  Every float is written exactly as
+format(x, '.17g') writes it.  For 1e-4 <= x < 1e15 that text comes from
+numpy arithmetic: the decimal exponent E = floor(log10 x), corrected by one
+step either way against the doubles nearest the powers of ten (x >=
+fl(10**k) iff x >= 10**k, since fl(10**k) = 10**k for k >= 0 and is above
+it for k = -1..-4), puts P = x * 10**(16 - E) in [10**16, 10**17).  10**k
+is a double for k <= 22, so Dekker's TwoProduct with Veltkamp's split
+(Dekker 1971) gives P exactly as hi + lo.  hi >= 2**53 is an even integer,
+so D = hi + rint(lo), summed in int64, is P rounded half to even, as dtoa
+rounds the 17 significant digits (1 + 2**-17 is such a tie).  D never
+reaches 10**17: the largest double below 10**(E + 1) lies at least 2**-54
+of it below, so P <= 10**17 - 5.  The digits of D, the point after digit
+E (or the 0.000 prefix of E < 0) and the trailing zeros that '.17g' drops
+come from small tables.  Other values (0, negatives, subnormals,
+x < 1e-4, x >= 1e15, nan and inf) go through format() one at a time.
 """
 
 from __future__ import annotations
@@ -63,6 +81,12 @@ _NEWTON_STEPS = 8  # Newton iterations before a polish falls back to golden sect
 _NEWTON_TOL = 1e-11  # a Newton step this small ends the polish
 _MAX_PHASE = 2.0**32  # largest t * max|lambda| a single time or scan may ask for
 _TWO_PI = 2.0 * math.pi
+_CSV_WIDTH = 40  # bytes per value in _csv_rows' byte matrix
+_CSV_ROW_BYTES = 512  # _csv_rows' peak temporaries per CSV row (about 415 bytes)
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+# the doubles nearest 10**k, k in -4..15: x >= _DECADES[k + 4] iff x >= 10**k
+_DECADES = np.concatenate([1.0 / _POW10[4:0:-1], _POW10[:16]])
+_CSV_TABLES: list = []  # filled by the first _csv_tables call
 
 
 class TransferKind(Enum):
@@ -262,12 +286,13 @@ def fidelity(sd: SpectralDecomposition, a: int, b: int, t: float) -> float:
     return float(_amplitude_at(sd.eigenvalues, _pair_coefficients(sd, a, b), t))
 
 
-def fidelity_scan(sd: SpectralDecomposition, a: int, b: int, t_max: float, samples: int) -> np.ndarray:
-    """Fidelity on a uniform grid over [0, t_max] including both endpoints.
+def _scan_blocks(sd: SpectralDecomposition, a: int, b: int, t_max: float, samples: int):
+    """Check fidelity_scan's arguments, then return an iterator over its
+    (m, 2) rows (t, fidelity) in blocks, first to last.
 
-    Returns an array of shape (samples, 2) with columns (t, fidelity).
-    t_max * max|lambda| must not exceed _MAX_PHASE, and samples must lie in
-    2.._GRID_CAP, checked before anything is allocated.
+    The blocks are _grid_chunks of samples with at least _CSV_ROW_BYTES per
+    row, so that formatting a block stays within _CHUNK_BYTES.  t is
+    k * (t_max / (samples - 1)) and t_max at the end, np.linspace's values.
     """
     if not 2 <= samples <= _GRID_CAP:
         raise ValueError(f"samples must lie in 2..{_GRID_CAP}")
@@ -276,21 +301,138 @@ def fidelity_scan(sd: SpectralDecomposition, a: int, b: int, t_max: float, sampl
     _check_phase_range(sd.eigenvalues, t_max, "t_max")
     a = _check_vertex(sd, a)
     b = _check_vertex(sd, b)
-    coeffs = _pair_coefficients(sd, a, b)
-    ts = np.linspace(0.0, t_max, samples)
-    amplitudes, point_bytes = _phase_kernel(sd.eigenvalues, coeffs, t_max / (samples - 1))
+    step = t_max / (samples - 1)
+    amplitudes, point_bytes = _phase_kernel(sd.eigenvalues, _pair_coefficients(sd, a, b), step)
+
+    def blocks():
+        for start, stop in _grid_chunks(samples, max(point_bytes, _CSV_ROW_BYTES)):
+            ts = np.arange(start, stop) * step
+            block = np.column_stack([ts, amplitudes(start, stop)])
+            if stop == samples:
+                block[-1, 0] = t_max
+            yield block
+
+    return blocks()
+
+
+def fidelity_scan(sd: SpectralDecomposition, a: int, b: int, t_max: float, samples: int) -> np.ndarray:
+    """Fidelity on a uniform grid over [0, t_max] including both endpoints.
+
+    Returns an array of shape (samples, 2) with columns (t, fidelity).
+    t_max * max|lambda| must not exceed _MAX_PHASE, and samples must lie in
+    2.._GRID_CAP, checked before anything is allocated.
+    """
+    blocks = _scan_blocks(sd, a, b, t_max, samples)
     out = np.empty((samples, 2))
-    out[:, 0] = ts
-    for start, stop in _grid_chunks(samples, point_bytes):
-        out[start:stop, 1] = amplitudes(start, stop)
+    start = 0
+    for block in blocks:
+        out[start : start + len(block)] = block
+        start += len(block)
     return out
+
+
+def _csv_tables() -> list:
+    """_csv_rows' tables [words, masks], built at the first call.
+
+    words holds, as uint32, the 4-digit strings of 0..9999, then the same
+    strings with their trailing zero digits as 0 bytes.  masks holds, for
+    each key 4 (e + 4) + 2 frac + odd, e in -4..15, the bytes a row keeps
+    (AND) and the bytes written into it (OR).
+    """
+    if not _CSV_TABLES:
+        digit = np.arange(48, 58, dtype=np.uint8)
+        words = np.zeros((2 * 10**4, 4), np.uint8)
+        for j in range(4):  # digit j of q = 1000 q0 + 100 q1 + 10 q2 + q3
+            along_j = digit.reshape((10,) + (1,) * (3 - j))
+            words[: 10**4].reshape(10, 10, 10, 10, 4)[..., j] = along_j
+        kept = words[: 10**4] != 48
+        for j in (2, 1, 0):  # a digit stays when a nonzero digit follows
+            kept[:, j] |= kept[:, j + 1]
+        words[10**4 :] = words[: 10**4] * kept
+        k = np.arange(80)[:, None]
+        e, c = k // 4 - 4, np.arange(_CSV_WIDTH)
+        digits = (c >= 3) & (c <= 3 + e)  # digits 0..e of the first copy
+        keep = 255 * (digits | (c >= np.where(e < 0, 23, 24 + e)))
+        put = 48 * digits + 46 * ((c == 20) & (e >= 0) & (k // 2 % 2 == 1))
+        put[:, 1:6] += np.frombuffer(b"0.000", np.uint8) * (c[1:6] <= 1 - e) * (e < 0)
+        put[:, 0] = np.where(k[:, 0] % 2, 44, 10)  # "," before a fidelity, "\n" before a t
+        _CSV_TABLES[:] = words.view(np.uint32).ravel(), np.stack([keep, put]).astype(np.uint8)
+    return _CSV_TABLES
+
+
+def _csv_rows(block: np.ndarray) -> str:
+    """The CSV rows "t,f\n" of an (m, 2) block, m >= 1, each float exactly
+    as format(x, '.17g') writes it (see the module docstring).
+
+    Each value gets a _CSV_WIDTH-byte row.  For 1e-4 <= x < 1e15, with
+    decimal exponent e and 17-digit significand d, the row holds d twice,
+    from the words table: in columns 3..19 for the integer part and 23..39
+    for the fraction, its trailing zero digits as 0 bytes.  The masks row
+    of the value's key keeps digits 0..e of the first copy, zeros restored,
+    and the digits after e of the second, and writes the separator before
+    the value in column 0, the "0.", "0.0", .. prefix of e < 0 in columns
+    1..5 and, when a nonzero digit follows digit e >= 0, "." in column 20.
+    Other values are formatted one at a time.  The 0 bytes are dropped.
+    """
+    x = np.asarray(block, dtype=float).ravel()
+    n = len(x)
+    fast = (x >= 1e-4) & (x < 1e15)
+    xs = np.where(fast, x, 1.0)
+    e = np.floor(np.log10(xs)).astype(np.int64)  # exact after one step either way
+    e -= xs < np.take(_DECADES, e + 4, mode="clip")
+    e += xs >= np.take(_DECADES, e + 5, mode="clip")
+    p = np.take(_POW10, 16 - e)  # xs * p = hi + lo exactly: Dekker's TwoProduct
+    hi = xs * p
+    xc, pc = 134217729.0 * xs, 134217729.0 * p  # Veltkamp's split, 2**27 + 1
+    xh, ph = xc - (xc - xs), pc - (pc - p)
+    xl, pl = xs - xh, p - ph
+    lo = ((xh * ph - hi) + xh * pl + xl * ph) + xl * pl
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # hi is an even integer
+    del p, hi, xc, pc, xh, ph, xl, pl, lo  # temporaries count against _CSV_ROW_BYTES
+    # each value's words, twice: its lead digit (the last of four, the masks
+    # drop the others), then its other 16 digits in fours, where a four
+    # followed only by zero fours drops its trailing zeros
+    top, bottom = np.divmod(d, 10**8)
+    lead, top = np.divmod(top, 10**8)
+    q1, q2 = np.divmod(top, 10**4)
+    q3, q4 = np.divmod(bottom, 10**4)
+    w = np.empty((n, 10), np.int64)
+    w[:, 0] = w[:, 5] = lead
+    w[:, 1] = w[:, 6] = q1 + 10**4 * ((bottom == 0) & (q2 == 0))
+    w[:, 2] = w[:, 7] = q2 + 10**4 * (bottom == 0)
+    w[:, 3] = w[:, 8] = q3 + 10**4 * (q4 == 0)
+    w[:, 4] = w[:, 9] = q4 + 10**4
+    del d, top, bottom, lead, q1, q2, q3, q4
+    words, masks = _csv_tables()
+    m = np.take(words, w, mode="clip").view(np.uint8)  # in range; "clip" skips the check
+    frac = np.take(m, np.arange(4, _CSV_WIDTH * n, _CSV_WIDTH) + np.maximum(e, 0)) != 0
+    key = 4 * e + 16 + 2 * frac + (np.arange(n) & 1)
+    m &= np.take(masks[0], key, axis=0, mode="clip")
+    m |= np.take(masks[1], key, axis=0, mode="clip")
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = b"".join(format(v, ".17g").encode().ljust(39, b"\0") for v in x[slow].tolist())
+        m[slow, 1:] = np.frombuffer(text, np.uint8).reshape(-1, 39)
+    m[0, 0] = 0  # no separator before the block's first value; "\n" after its last
+    return m[m != 0].tobytes().decode("ascii") + "\n"
+
+
+def _csv_texts(blocks):
+    """The CSV header, then the rows of each (m, 2) block in turn."""
+    yield "t,fidelity\n"
+    for block in blocks:
+        yield _csv_rows(block)
 
 
 def scan_to_csv(scan: np.ndarray) -> str:
     """CSV rendering of a fidelity scan: header plus one row per sample,
-    floats written with 17 significant digits."""
-    ts, fs = scan.T.tolist()
-    return "t,fidelity\n" + "".join(map("{:.17g},{:.17g}\n".format, ts, fs))
+    floats written as format(x, '.17g'), formatted in blocks of
+    _CSV_ROW_BYTES per row within _CHUNK_BYTES."""
+    scan = np.asarray(scan, dtype=float)
+    if scan.ndim != 2 or scan.shape[1] != 2:
+        raise ValueError(f"scan must have shape (samples, 2), got {scan.shape}")
+    chunks = _grid_chunks(len(scan), _CSV_ROW_BYTES)
+    return "".join(_csv_texts(scan[start:stop] for start, stop in chunks))
 
 
 def pst_check_at_time(
