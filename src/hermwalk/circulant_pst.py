@@ -26,7 +26,7 @@ from .errors import UnsupportedGraph
 from .linalg import SpectralDecomposition, hermitian_eigendecomposition, relative_tol
 from .numbertheory import commensurate, modular_inverse
 from .swaut import MonomialMatrix, SwitchingGroup, _cycles, enumerate_switching_automorphisms
-from .transfer import TransferKind, TransferReport, _check_phase_range
+from .transfer import TransferKind, TransferReport, fidelity
 
 _VALIDATE_TOL = 1e-6
 _ENUM_CAP = 12
@@ -179,14 +179,10 @@ def upst_certify(
     if isinstance(cert, NoCertificate):
         return UpstReport(universal=False, failure=cert, cycle_element=cycle)
     t1, m = pst_time(cert)
-    # column 0 of exp(-i k t1 A) at each step's target, for k = 1..n, in one product
-    times = t1 * np.arange(1, n + 1)
-    _check_phase_range(sd.eigenvalues, times[-1], "t")
-    targets = [old_of_new[k % n] for k in range(1, n + 1)]
-    coeffs = sd.eigenvectors[targets] * sd.eigenvectors[0].conj()
-    fids = np.abs(np.sum(np.exp(-1j * np.outer(times, sd.eigenvalues)) * coeffs, axis=1))
     transfers = []
-    for k, (target, t, f) in enumerate(zip(targets, times.tolist(), fids.tolist()), start=1):
+    for k in range(1, n + 1):
+        target, t = old_of_new[k % n], k * t1
+        f = fidelity(sd, 0, target, t)
         if f < 1.0 - _VALIDATE_TOL:
             return UpstReport(
                 universal=False,

@@ -86,20 +86,23 @@ def hermitian_eigendecomposition(a) -> SpectralDecomposition:
         eigenvalues, vec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigh did not converge: {exc}") from exc
+    if not np.all(np.isfinite(eigenvalues)):
+        raise NoConvergence("eigh returned a non-finite eigenvalue")
     # phase convention: largest-magnitude entry of each column real positive;
     # moduli within the unitarity tolerance of the largest count as tied and
     # the first of them is the pivot, so flat columns resolve the same way
-    # however the rounding falls
-    for k in range(n):
-        mags = np.abs(vec[:, k])
-        j = int(np.argmax(mags >= mags.max() - _UNITARY_TOL))
-        pivot = vec[j, k]
-        vec[:, k] *= abs(pivot) / pivot
+    # however the rounding falls.  Each unit scale is a numpy scalar quotient:
+    # the array quotient can differ from it in the last bit
+    if n:  # an empty matrix has no pivots
+        mags = np.abs(vec)
+        pivots = vec[np.argmax(mags >= mags.max(axis=0) - _UNITARY_TOL, axis=0), range(n)]
+        vec *= np.array([abs(p) / p for p in pivots])
     sd = SpectralDecomposition(eigenvalues=eigenvalues, eigenvectors=vec)
-    if max_abs(vec.conj().T @ vec - np.eye(n)) > _UNITARY_TOL:
+    # both checks are written so that a NaN fails them
+    if not max_abs(vec.conj().T @ vec - np.eye(n)) <= _UNITARY_TOL:
         raise NoConvergence("eigenvector matrix failed the unitarity check")
     recon = (vec * eigenvalues) @ vec.conj().T
-    if max_abs(recon - a) > relative_tol(_RECONSTRUCTION_TOL, a):
+    if not max_abs(recon - a) <= relative_tol(_RECONSTRUCTION_TOL, a):
         raise NoConvergence("eigendecomposition failed the reconstruction check")
     return sd
 

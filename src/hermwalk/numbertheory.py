@@ -32,6 +32,10 @@ RATIO_TOL = 1e-9  # and fit error, dimensionless
 _LCM_CAP = 10**7  # denominators this wild never come from an integer spectrum
 _LOVASZ_DELTA = 0.75
 _LLL_BUDGET = 100_000  # iterations of the LLL loop; H4 takes about 500
+# the largest max|x|/tol = R screened: the squared Gram-Schmidt norms B of the
+# lattice rows [e_k | x_k/tol] stay at most 1 + R^2 under LLL, and a swap
+# multiplies two of them, which must stay below the float64 maximum 1.8e308
+_LATTICE_SCALE_MAX = 1e75
 
 
 def modular_inverse(j: int, n: int) -> int | None:
@@ -156,6 +160,10 @@ def _lattice_relation(xs: np.ndarray, coeff_bound: int, tol: float) -> np.ndarra
             return np.array([1])
         return None
     scale = 1.0 / tol
+    if np.max(np.abs(xs)) * scale > _LATTICE_SCALE_MAX:
+        raise OverflowError(
+            f"max|x|/tol exceeds {_LATTICE_SCALE_MAX:g}, where float64 Gram-Schmidt norms overflow"
+        )
     basis = np.hstack([np.eye(m), (xs * scale)[:, None]])
     reduced = _lll_reduce(basis)
     norms = np.einsum("ij,ij->i", reduced, reduced)
@@ -171,7 +179,8 @@ def _lattice_relation(xs: np.ndarray, coeff_bound: int, tol: float) -> np.ndarra
 
 def integer_relation(xs, coeff_bound: int, tol: float) -> list[int] | None:
     """Nonzero integers a with |a_k| <= coeff_bound and |sum a_k x_k| <= tol,
-    or None when the lattice search finds nothing."""
+    or None when the lattice search finds nothing.  Raises OverflowError
+    when max|x|/tol passes _LATTICE_SCALE_MAX."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("xs must be a 1-d array")
@@ -199,6 +208,7 @@ def independence_screen(eigs, tol: float = 1e-10) -> IndependenceReport:
     lattice search (coefficient bound 10^4).  The screened set may exceed
     the public integer_relation size cap; the search has no size limit, only
     a reliability one and an iteration budget (SearchBudgetExhausted).
+    Raises OverflowError as integer_relation does.
     """
     check_tolerance(tol)
     values = np.unique(np.asarray(eigs, dtype=float))

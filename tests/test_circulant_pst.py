@@ -441,6 +441,13 @@ class TestScheduleValidation:
             assert r.epsilon == pytest.approx(oracle.epsilon, abs=1e-12)
             assert r.monomial is None
 
+    def test_schedule_past_phase_precision_raises(self):
+        # C_3 + 1.5e9 I: steps 1 and 2 stay within 2**32 rad, step 3 does not
+        g = construct_cp(3)
+        shifted = HermitianGraph(n=3, adjacency=g.adjacency + 1.5e9 * np.eye(3))
+        with pytest.raises(ValueError, match="exceeds 2\\*\\*32"):
+            upst_certify(shifted)
+
     def test_failed_step_reports_its_fidelity(self, monkeypatch):
         # halve the certified time: step 1 misses, with the fidelity at t1/2
         certified_time = circulant_pst.pst_time

@@ -4,8 +4,11 @@ import time
 import numpy as np
 import pytest
 
-from hermwalk import HermitianGraph, construct_cp, load_graph, numbertheory, save_graph, transfer
+from hermwalk import (HermitianGraph, cli, construct_cp, construct_k2, construct_k4,
+                      hermitian_eigendecomposition, load_graph, numbertheory, save_graph, spectra,
+                      transfer)
 from hermwalk.cli import main
+from hermwalk.errors import NoConvergence
 
 
 def run(capsys, *argv):
@@ -371,3 +374,115 @@ def test_analyze_zero_spectrum_full_report(tmp_path, capsys, text):
     assert "ratio-rationality: all_rational=True (0 pairs)" in out.splitlines()
     assert "independence-screen: likely-independent (0 values)" in out
     assert out.splitlines()[-1].startswith("upst: ")
+
+
+_PARAMETER_COUNT_ERRORS = [
+    (["k4", "3"], "k4 takes no parameters"),
+    (["k2x", "1"], "k2x takes no parameters"),
+    (["k2y", "a", "b"], "k2y takes no parameters"),
+    (["cp"], "cp needs exactly one parameter: the cycle length p"),
+    (["cp", "3", "5"], "cp needs exactly one parameter: the cycle length p"),
+    (["circulant"], "circulant needs one parameter: comma-separated weights"),
+    (["hadamard", "2", "3"], "hadamard needs one parameter: the order exponent n"),
+    (["cartesian", "k4"], "cartesian needs two operands (family token or graph file)"),
+    (["cartesian", "k4", "k2x", "k2y"], "cartesian needs two operands (family token or graph file)"),
+]
+
+
+@pytest.mark.parametrize(
+    "params, message", _PARAMETER_COUNT_ERRORS, ids=[" ".join(p) for p, _ in _PARAMETER_COUNT_ERRORS]
+)
+def test_construct_parameter_count_exit_2(tmp_path, capsys, params, message):
+    path = tmp_path / "x.hg"
+    code, out, err = run(capsys, "construct", *params, "-o", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "family, expected",
+    [("k4", construct_k4()), ("k2x", construct_k2("X")), ("k2y", construct_k2("Y"))],
+    ids=["k4", "k2x", "k2y"],
+)
+def test_construct_parameter_free_families(tmp_path, capsys, family, expected):
+    path = str(tmp_path / f"{family}.hg")
+    code, out, err = run(capsys, "construct", family, "-o", path)
+    assert code == 0 and err == ""
+    spectrum = " ".join(f"{v:.12g}" for v in hermitian_eigendecomposition(expected.adjacency).eigenvalues)
+    assert out == f"wrote {path}: n={expected.n}\nspectrum: {spectrum}\n"
+    assert np.array_equal(load_graph(path).adjacency, expected.adjacency)
+
+
+def test_construct_cartesian_of_two_family_tokens(tmp_path, capsys):
+    path = str(tmp_path / "k2x_k2y.hg")
+    code, out, _ = run(capsys, "construct", "cartesian", "k2x", "k2y", "-o", path)
+    assert code == 0 and out.startswith(f"wrote {path}: n=4\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_construct_overflowing_spectrum_exit_3(tmp_path, capsys):
+    # C_3 with weights 1e308 has an infinite eigenvalue; the spectrum line is
+    # computed after the file is written, and fails with exit 3, not a traceback
+    path = tmp_path / "big.hg"
+    code, out, err = run(capsys, "construct", "circulant", "1e308,1e308,1e308", "-o", str(path))
+    assert code == 3 and out == ""
+    assert err == "numerical failure: eigh returned a non-finite eigenvalue\n"
+    assert path.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["analyze"], ["transfer", "0", "1", "pgst"]], ids=["analyze", "transfer"])
+def test_overflowing_spectrum_exit_3(tmp_path, capsys, command):
+    path = str(tmp_path / "big.hg")
+    save_graph(HermitianGraph(3, np.array([[1e308, 1e308, 1e308]] * 3, dtype=complex)), path)
+    code, out, err = run(capsys, command[0], path, *command[1:])
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: eigh returned a non-finite eigenvalue\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_analyze_screen_beyond_float64_skipped(tmp_path, capsys):
+    # eigenvalues of order 1e200 against the screen tolerance 1e-10: the
+    # lattice norms would overflow, so the screen is skipped and the report
+    # goes on to its upst line
+    path = str(tmp_path / "huge.hg")
+    assert run(capsys, "construct", "circulant", "0,1e200,1e200", "-o", path)[0] == 0
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert (
+        "independence-screen: skipped (max|x|/tol exceeds 1e+75, where float64 "
+        "Gram-Schmidt norms overflow)"
+    ) in lines
+    assert lines[-1].startswith("upst: ")
+
+
+def test_analyze_numerical_failure_keeps_partial_report(c3_file, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise NoConvergence("flatness check did not converge")
+
+    monkeypatch.setattr(spectra, "flat_eigenbasis_check", fail)
+    code, out, err = run(capsys, "analyze", c3_file)
+    assert code == 3
+    assert err == "numerical failure: flatness check did not converge\n"
+    assert [line.split(":")[0] for line in out.splitlines()] == ["graph", "parameters", "spectrum", "simplicity"]
+
+
+def test_transfer_numerical_failure_keeps_partial_output(c3_file, capsys, monkeypatch):
+    # the CSV goes to stdout as it is produced: what was written stays
+    def header_then_fail(blocks):
+        yield "t,fidelity\n"
+        raise NoConvergence("scan failed")
+
+    monkeypatch.setattr(transfer, "_csv_texts", header_then_fail)
+    code, out, err = run(capsys, "transfer", c3_file, "0", "1", "scan")
+    assert (code, out, err) == (3, "t,fidelity\n", "numerical failure: scan failed\n")
+
+
+def test_pst_at_without_time_rejected_before_diagonalizing(c3_file, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph was diagonalized")
+
+    monkeypatch.setattr(cli, "hermitian_eigendecomposition", refuse)
+    code, out, err = run(capsys, "transfer", c3_file, "0", "1", "pst-at")
+    assert (code, out, err) == (2, "", "error: pst-at requires --t\n")

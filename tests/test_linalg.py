@@ -13,7 +13,7 @@ from hermwalk import (
     hermitian_eigendecomposition,
     nearest_monomial,
 )
-from hermwalk.errors import NotAnticommuting, NotHermitian, NotPositive, NotUnitary
+from hermwalk.errors import NoConvergence, NotAnticommuting, NotHermitian, NotPositive, NotUnitary
 
 from conftest import haar_unitary, max_abs, random_hermitian
 
@@ -90,6 +90,39 @@ class TestEigendecomposition:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             hermitian_eigendecomposition(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_eigenvalue_fails_before_reconstruction(self):
+        # finite entries whose eigenvalue overflows: no RuntimeWarning from
+        # the reconstruction product, NoConvergence instead
+        with pytest.raises(NoConvergence, match="non-finite eigenvalue"):
+            hermitian_eigendecomposition(np.full((3, 3), 1e308, dtype=complex))
+
+    def test_nan_eigenvectors_fail_the_unitarity_check(self, monkeypatch):
+        def nan_eigh(a):
+            return np.array([-1.0, 1.0]), np.full((2, 2), np.nan, dtype=complex)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        with np.errstate(invalid="ignore"), pytest.raises(NoConvergence, match="unitarity"):
+            hermitian_eigendecomposition(X)
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 31, 64])
+    def test_phase_convention_matches_per_column_reference(self, rng, n):
+        # the columns are scaled by abs(p) / p of each pivot p, as numpy
+        # scalars, bit for bit what a per-column loop gives
+        a = random_hermitian(rng, n)
+        lam, vec = np.linalg.eigh(a)
+        for k in range(n):
+            mags = np.abs(vec[:, k])
+            pivot = vec[int(np.argmax(mags >= mags.max() - 1e-10)), k]
+            vec[:, k] *= abs(pivot) / pivot
+        sd = hermitian_eigendecomposition(a)
+        assert np.array_equal(sd.eigenvalues, lam)
+        assert np.array_equal(sd.eigenvectors, vec)
+
+    def test_empty_matrix(self):
+        sd = hermitian_eigendecomposition(np.zeros((0, 0)))
+        assert sd.n == 0 and sd.eigenvectors.shape == (0, 0)
 
 
 class TestEvolutionOperator:

@@ -174,6 +174,27 @@ class TestIndependenceScreen:
         assert len(report.values) == 64
         assert report.likely_independent or report.residual <= 1e-10
 
+    @pytest.mark.parametrize(
+        "xs, tol", [([0.0, 1e200, 2e200], 1e-10), ([1.0, 2.0], 1e-76)], ids=["huge-values", "tiny-tol"]
+    )
+    def test_lattice_beyond_float64_raises_overflow(self, xs, tol):
+        # past the bound, a swap's product of squared Gram-Schmidt norms overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="float64 Gram-Schmidt"):
+                independence_screen(xs, tol)
+            with pytest.raises(OverflowError, match="float64 Gram-Schmidt"):
+                integer_relation(xs, 10, tol)
+
+    def test_lattice_just_below_the_bound_reduces_without_overflow(self):
+        # multiples of 2**210 (about 1.6e63), so that 7 x0 - 3 x1 is exactly 0
+        xs = [3 * 2.0**210, 7 * 2.0**210, math.pi * 2.0**210]
+        assert max(xs) / 1e-10 < numbertheory._LATTICE_SCALE_MAX
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert integer_relation(xs, 10, 1e-10) is None
+            assert integer_relation(xs[:2], 10, 1e-10) == [7, -3]
+
     def test_deterministic(self):
         xs = [1.0, 2.0, math.pi]
         r1 = independence_screen(xs)
