@@ -8,10 +8,11 @@ of a linear bijection of the integers mod n:
 
 The eigenvalues are read in Fourier order straight off a switching
 automorphism that acts as an n-cycle, whose eigenvectors A shares, so a
-shift or scale of A moves only alpha and beta.  The certificate recovers
-(alpha, beta, j, c_k) by rational reconstruction of eigenvalue-difference
-ratios, and the transfer schedule it implies is validated numerically
-before the graph is declared universal.
+shift or scale of A moves only alpha and beta.  They are read off
+A - (tr A/n) I, so that a shift's size does not enter the fit's rounding
+or tolerances.  The certificate recovers (alpha, beta, j, c_k) by rational
+reconstruction of eigenvalue-difference ratios, and the transfer schedule
+it implies is validated numerically before the graph is declared universal.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ def _fourier_ordered_eigenvalues(adj: np.ndarray, element: MonomialMatrix):
     w_{j+1} = phase(v_j) w_j/root and root an n-th root of the cycle gain,
     are eigenvectors of the element with n distinct eigenvalues.  adj
     commutes with it, so each f_k is an eigenvector of adj, however
-    degenerate adj's spectrum, and lambda_k = f_k^H adj f_k / n.
+    degenerate adj's spectrum, and lambda_k = f_k^H adj f_k / n, read for
+    every k off the one product adj @ f.
     """
     n = adj.shape[0]
     old_of_new = list(_cycles(element.perm)[0])  # the orbit of vertex 0
@@ -142,7 +144,7 @@ def _fourier_ordered_eigenvalues(adj: np.ndarray, element: MonomialMatrix):
     w = np.concatenate(([1.0], np.cumprod(phases[:-1] / root)))
     f = np.empty((n, n), dtype=complex)
     f[old_of_new] = w[:, None] * np.exp(1j * _TWO_PI / n * np.outer(range(n), range(n)))
-    return np.einsum("jk,jl,lk->k", f.conj(), adj, f).real / n, old_of_new
+    return np.einsum("jk,jk->k", f.conj(), adj @ f).real / n, old_of_new
 
 
 def upst_certify(
@@ -155,9 +157,12 @@ def upst_certify(
     (by permutation) that is a single n-cycle is taken: the standard shift
     on a plain circulant.  Without one the graph is not circulant up to
     switching and certification is refused (UnsupportedGraph).  On success
-    the spectral certificate is attempted and, if issued, the full transfer
+    the spectral certificate is attempted on the eigenvalues of
+    A - (tr A/n) I, so that a shift A -> A + cI moves only alpha_offset
+    (tr A/n is added back to it), and, if issued, the full transfer
     schedule t, 2t, ..., nt is validated to fidelity 1 - 1e-6 on the actual
-    graph from column 0 of exp(-itA) (the reports carry no monomial).  A
+    graph from column 0 of exp(-itA) (the reports carry no monomial); a
+    schedule whose t * max|lambda| passes 2**32 raises PhaseRangeExceeded.  A
     caller that has already enumerated the group of g passes it as group,
     and one that holds the eigendecomposition of g's adjacency passes it as
     sd; the report is the same.  A group search that exhausts its budget
@@ -174,10 +179,12 @@ def upst_certify(
     cycle = next((e for e in group.elements if len(_cycles(e.perm)) == 1), None)
     if cycle is None:
         raise UnsupportedGraph("no switching automorphism acts as an n-cycle")
-    eigs, old_of_new = _fourier_ordered_eigenvalues(adj, cycle)
+    mean = float(np.trace(adj).real) / n
+    eigs, old_of_new = _fourier_ordered_eigenvalues(adj - mean * np.eye(n), cycle)
     cert = pst_spectral_certificate(eigs)
     if isinstance(cert, NoCertificate):
         return UpstReport(universal=False, failure=cert, cycle_element=cycle)
+    cert.alpha_offset += mean
     t1, m = pst_time(cert)
     transfers = []
     for k in range(1, n + 1):

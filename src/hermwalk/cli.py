@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import circulant_pst, graph, numbertheory, spectra, swaut, transfer
-from .errors import (DisconnectedSupport, HermwalkError, SearchBudgetExhausted,
-                     TraceNotZero, UnsupportedGraph)
+from .errors import (DisconnectedSupport, HermwalkError, PhaseRangeExceeded,
+                     SearchBudgetExhausted, TraceNotZero, UnsupportedGraph)
 from .linalg import check_tolerance, hermitian_eigendecomposition
 
 _SWAUT_MAX_N = 10
@@ -208,7 +208,8 @@ def _report_analyze(args, g, sd) -> None:
     # a group search that failed fails the certificate the same way
     if unsupported is None:
         upst, unsupported = _attempt(
-            lambda: circulant_pst.upst_certify(g, group, sd), UnsupportedGraph, DisconnectedSupport
+            lambda: circulant_pst.upst_certify(g, group, sd),
+            UnsupportedGraph, DisconnectedSupport, PhaseRangeExceeded,
         )
     if unsupported is not None:
         print(f"upst: Unsupported ({unsupported})")

@@ -85,6 +85,13 @@ class InvalidTarget(HermwalkError):
     pass
 
 
+class PhaseRangeExceeded(ValueError):
+    """t * max|lambda| passes 2**32, where float64 phases lose about 5e-7 rad.
+
+    A ValueError, not a HermwalkError: the time or horizon is the caller's
+    argument, and a shorter one is answered."""
+
+
 # swaut and circulant_pst
 class DisconnectedSupport(HermwalkError):
     pass

@@ -156,10 +156,10 @@ def nearest_monomial(u) -> tuple[MonomialMatrix | None, float]:
     n = u.shape[0]
     if max_abs(u.conj().T @ u - np.eye(n)) > 1e-8:
         raise NotUnitary("input is not unitary within 1e-8")
-    phi = [int(np.argmax(np.abs(u[:, k]))) for k in range(n)]
-    if len(set(phi)) != n:
+    phi = np.argmax(np.abs(u), axis=0)
+    if len(set(phi.tolist())) != n:
         return None, math.inf
-    d = np.array([u[phi[k], k] for k in range(n)])
+    d = u[phi, range(n)]
     d /= np.abs(d)
     fitted = np.zeros((n, n), dtype=complex)
     fitted[phi, range(n)] = d

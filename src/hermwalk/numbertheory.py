@@ -154,11 +154,6 @@ def _lattice_relation(xs: np.ndarray, coeff_bound: int, tol: float) -> np.ndarra
     m = len(xs)
     if m == 0:
         return None
-    if m == 1:
-        # a*x = 0 with |x| > tol is impossible for integer a != 0 and |a| >= 1
-        if abs(xs[0]) <= tol:
-            return np.array([1])
-        return None
     scale = 1.0 / tol
     if np.max(np.abs(xs)) * scale > _LATTICE_SCALE_MAX:
         raise OverflowError(

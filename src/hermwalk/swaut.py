@@ -19,6 +19,10 @@ from .linalg import SpectralDecomposition, hermitian_eigendecomposition, relativ
 
 _UNIT_TOL = 1e-12  # on phases, which are dimensionless
 _PROJ_TOL = 1e-9
+# the searches' weight comparisons: off-diagonal magnitudes and phases relative
+# to max off-diagonal |A_uv|, which a shift A + cI leaves alone; diagonal
+# entries relative to max|A_uv|, which their rounding follows whatever the shift
+_WEIGHT_TOL = 1e-9
 _GAP_TOL = 1e-6  # spectral route: minimum eigenvalue gap, relative to max|lambda|
 _ENTRY_FLOOR = 1e-3  # spectral route: smallest |U_vk| of the anchor row, dimensionless
 # placements the backtracking search may make: 10x the 5040-element group
@@ -62,10 +66,10 @@ class MonomialMatrix:
     def identity(cls, n: int) -> "MonomialMatrix":
         return cls(tuple(range(n)), np.ones(n, dtype=complex))
 
-    def is_identity_class(self, tol: float = _PROJ_TOL) -> bool:
+    def is_identity_class(self) -> bool:
         if self.perm != tuple(range(self.n)):
             return False
-        return float(np.max(np.abs(self.phases - self.phases[0]))) <= tol
+        return float(np.max(np.abs(self.phases - self.phases[0]))) <= _PROJ_TOL
 
     def to_matrix(self) -> np.ndarray:
         m = np.zeros((self.n, self.n), dtype=complex)
@@ -182,9 +186,16 @@ def _tree_phase(raw_u, f, t) -> tuple[np.complex128, complex]:
     return raw, complex(raw / np.abs(raw))
 
 
+def _split_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a with its diagonal zeroed, the diagonal): the searches compare the
+    off-diagonal part on its own scale, which a shift A -> A + cI leaves alone."""
+    return a - np.diag(np.diag(a)), np.diag(a)
+
+
 def _verified(a_from: np.ndarray, a_phi: np.ndarray, phi: list[int], unit: list[complex], phase_tol: float):
     """The monomial (phi, unit) when d_u a_from[u,v] == a_phi[u,v] d_v, with
-    a_phi = a_to[phi][:, phi], holds within phase_tol at every entry, else None."""
+    a_phi = a_to[phi][:, phi], holds within phase_tol at every entry, else
+    None.  The searches pass off-diagonal parts and match diagonals apart."""
     d = np.array(unit)
     lhs = d[:, None] * a_from
     rhs = a_phi * d[None, :]
@@ -208,16 +219,18 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     zero pattern, magnitude and phase, and every entry of the defining
     identity is verified before a complete map is accepted.  Nothing is
     searched unless the rows of the two matrices pair up one to one.
-    The magnitude tolerance 1e-9 and phase_tol are relative to max|A_uv|
-    over the two matrices.
+    The magnitude tolerance _WEIGHT_TOL and phase_tol are relative to the
+    largest off-diagonal |A_uv| of the two matrices, and a vertex only goes
+    to a target whose diagonal entry is within _WEIGHT_TOL of max|A_uv|.
     Deterministic: targets are tried in ascending order.  More than
     _PLACEMENT_BUDGET placements raise SearchBudgetExhausted.
     """
     n = a_from.shape[0]
-    mag_tol, phase_tol = (relative_tol(tol, (a_from, a_to)) for tol in (1e-9, phase_tol))
+    (off_f, diag_f), (off_t, diag_t) = map(_split_diagonal, (a_from, a_to))
+    mag_tol, phase_tol = (relative_tol(tol, (off_f, off_t)) for tol in (_WEIGHT_TOL, phase_tol))
     # a vertex can only go to a target with the same diagonal entry and sorted row magnitudes
-    mags_f, mags_t = (np.sort(np.abs(a - np.diag(np.diag(a))), axis=1) for a in (a_from, a_to))
-    alike = (np.abs(np.diag(a_from)[:, None] - np.diag(a_to)) <= mag_tol) & np.all(
+    mags_f, mags_t = (np.sort(np.abs(a), axis=1) for a in (off_f, off_t))
+    alike = (np.abs(diag_f[:, None] - diag_t) <= relative_tol(_WEIGHT_TOL, (a_from, a_to))) & np.all(
         np.abs(mags_f[:, None] - mags_t) <= mag_tol, axis=2
     )
     alike = alike.tolist()
@@ -227,9 +240,8 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     order = [0] + [v for _, v in tree]
     parent = {v: u for u, v in tree}
     # plain lists: numpy calls on rows this short cost more than the arithmetic
-    rows_from = a_from.tolist()
-    rows_to = a_to.tolist()
-    nbrs_to = [[w for w in range(n) if w != x and rows_to[x][w] != 0] for x in range(n)]
+    rows_from, rows_to = off_f.tolist(), off_t.tolist()
+    nbrs_to = [[w for w in range(n) if rows_to[x][w] != 0] for x in range(n)]
     results = []
     phi = [-1] * n
     used = [False] * n
@@ -248,7 +260,7 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
         return True
 
     def accept() -> bool:
-        m = _verified(a_from, a_to[np.ix_(phi, phi)], phi, unit, phase_tol)
+        m = _verified(off_f, off_t[np.ix_(phi, phi)], phi, unit, phase_tol)
         if m is not None:
             results.append(m)
         return m is not None
@@ -310,14 +322,15 @@ def _spectral_search(
     theta = u.conj() / u[v].conj()  # row w: the eigenvalues of M_w
     candidates = (u * theta[:, None, :]) @ u.conj().T  # candidates[w] = M_w
     perms = np.argmax(np.abs(candidates), axis=1)
-    mapped = adj[perms[:, :, None], perms[:, None, :]]  # mapped[w] = adj[phi_w][:, phi_w]
-    # what the search tests before placing: off-diagonal zero pattern and magnitudes
-    mag_tol, phase_tol = (relative_tol(tol, adj) for tol in (1e-9, phase_tol))
-    off_diagonal = ~np.eye(n, dtype=bool)
-    placeable = ~np.any(((adj == 0) != (mapped == 0)) & off_diagonal, axis=(1, 2)) & (
-        np.max(np.abs(np.abs(adj) - np.abs(mapped)), axis=(1, 2)) <= mag_tol
-    )
-    rows = adj.tolist()
+    off, diag = _split_diagonal(adj)
+    mapped = off[perms[:, :, None], perms[:, None, :]]  # mapped[w] = off[phi_w][:, phi_w]
+    # what the search tests before placing, on the same scales: the diagonal
+    # entries, and the off-diagonal zero pattern and magnitudes
+    mag_tol, phase_tol = (relative_tol(tol, off) for tol in (_WEIGHT_TOL, phase_tol))
+    placeable = ~np.any((off == 0) != (mapped == 0), axis=(1, 2)) & (
+        np.max(np.abs(np.abs(off) - np.abs(mapped)), axis=(1, 2)) <= mag_tol
+    ) & (np.max(np.abs(diag[perms] - diag), axis=1) <= relative_tol(_WEIGHT_TOL, adj))
+    rows = off.tolist()
     results = []
     for phi, a_phi, ok in zip(perms.tolist(), mapped, placeable.tolist()):
         if not ok or len(set(phi)) < n:
@@ -326,20 +339,20 @@ def _spectral_search(
         unit = [1.0 + 0j] * n
         for p, c in tree:
             raw[c], unit[c] = _tree_phase(raw[p], rows[p][c], rows[phi[p]][phi[c]])
-        m = _verified(adj, a_phi, phi, unit, phase_tol)
+        m = _verified(off, a_phi, phi, unit, phase_tol)
         if m is not None:
             results.append(m)
     return results
 
 
-def enumerate_switching_automorphisms(
-    g, phase_tol: float = 1e-9, sd: SpectralDecomposition | None = None
-) -> SwitchingGroup:
+def enumerate_switching_automorphisms(g, *, sd: SpectralDecomposition | None = None) -> SwitchingGroup:
     """Enumerate all monomials commuting with g.adjacency, modulo global phase.
 
     The support graph must be connected; otherwise the phase propagation is
-    underdetermined and the projective group is not finite.  phase_tol is
-    relative to max|A_uv|, so scaling A does not change the group.
+    underdetermined and the projective group is not finite.  Weights are
+    compared within _WEIGHT_TOL, off-diagonal ones relative to max
+    off-diagonal |A_uv| and diagonal ones relative to max|A_uv|, so neither
+    scaling A nor shifting it to A + cI changes the group.
 
     With a simple spectrum and an eigenbasis row free of small entries the
     group is read off the eigenbasis (see _spectral_search); otherwise a
@@ -355,9 +368,9 @@ def enumerate_switching_automorphisms(
         raise DisconnectedSupport("support graph has more than one component")
     if sd is None:
         sd = hermitian_eigendecomposition(adj)
-    elements = _spectral_search(adj, sd, tree, phase_tol)
+    elements = _spectral_search(adj, sd, tree, _WEIGHT_TOL)
     if elements is None:
-        elements = _monomial_search(adj, adj, phase_tol, find_all=True)
+        elements = _monomial_search(adj, adj, _WEIGHT_TOL, find_all=True)
     elements.sort(key=lambda m: m.perm)
     order = len(elements)
     # Connected support makes the group faithful on permutations: two elements
@@ -382,9 +395,10 @@ def enumerate_switching_automorphisms(
     )
 
 
-def is_switching_isomorphic(g1, g2, phase_tol: float = 1e-9) -> MonomialMatrix | None:
+def is_switching_isomorphic(g1, g2) -> MonomialMatrix | None:
     """Witness M with A(g2) = M^dagger A(g1) M, or None if no monomial works;
-    phase_tol is relative to max|A_uv| over both graphs."""
+    weights are compared as in enumerate_switching_automorphisms, over both
+    graphs."""
     a1 = np.asarray(g1.adjacency, dtype=complex)
     a2 = np.asarray(g2.adjacency, dtype=complex)
     if a1.shape != a2.shape:
@@ -392,7 +406,7 @@ def is_switching_isomorphic(g1, g2, phase_tol: float = 1e-9) -> MonomialMatrix |
     n = a1.shape[0]
     if len(_spanning_tree_order(a1)) < n - 1 or len(_spanning_tree_order(a2)) < n - 1:
         raise DisconnectedSupport("support graphs must be connected")
-    found = _monomial_search(a2, a1, phase_tol, find_all=False)
+    found = _monomial_search(a2, a1, _WEIGHT_TOL, find_all=False)
     return found[0] if found else None
 
 

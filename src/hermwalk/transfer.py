@@ -68,7 +68,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidTarget
+from .errors import IndexOutOfRange, InvalidTarget, PhaseRangeExceeded
 from .linalg import SpectralDecomposition, check_tolerance, evolution_operator, nearest_monomial
 from .swaut import MonomialMatrix
 
@@ -234,8 +234,8 @@ def _spectrum_grid(sd: SpectralDecomposition) -> _PeakGrid:
 def _phase_kernel(grid, coeffs: np.ndarray, step: float):
     """Grid amplitudes |exp(-i k step lam) @ coeffs| by the factorized kernel.
 
-    grid is a _Grid, or the eigenvalues lam; a _Grid that keeps no blocks
-    is made on them unless grid is one of this step.  coeffs has shape (d,)
+    grid is a _Grid of this step, or the eigenvalues lam, on which a _Grid
+    that keeps no blocks is made.  coeffs has shape (d,)
     or (d, m), (d,) for a grid made with one column.  Returns (amplitudes,
     point_bytes): amplitudes(start, stop) is the (stop - start,) or
     (stop - start, m) array for grid indices k in [start, stop), and
@@ -246,8 +246,6 @@ def _phase_kernel(grid, coeffs: np.ndarray, step: float):
     m = math.prod(columns)
     if not isinstance(grid, _Grid):
         grid = _Grid(grid, step, m)
-    elif grid.step != step:  # tables of another step
-        grid = _Grid(grid.lam, step, m)
     d, row = len(grid.lam), grid.row
     p_in = (grid.inner[:, :, None] * coeffs.reshape(d, 1, m)).reshape(d, row * m)
 
@@ -266,11 +264,11 @@ def _amplitude_at(lam: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
 
 
 def _check_phase_range(lam: np.ndarray, t: float, name: str) -> None:
-    """Raise ValueError unless |t| * max|lam| <= _MAX_PHASE: beyond that,
-    float64 rounds the phases t * lambda by more than about 5e-7 rad.  lam
-    ascends, so max|lam| is at one of its ends."""
+    """Raise PhaseRangeExceeded, a ValueError, unless |t| * max|lam| <=
+    _MAX_PHASE: beyond that, float64 rounds the phases t * lambda by more
+    than about 5e-7 rad.  lam ascends, so max|lam| is at one of its ends."""
     if abs(t) * max(-float(lam[0]), float(lam[-1])) > _MAX_PHASE:
-        raise ValueError(
+        raise PhaseRangeExceeded(
             f"{name} * max|lambda| exceeds 2**32, where float64 phases lose about 5e-7 rad"
         )
 
@@ -657,12 +655,13 @@ def kronecker_time_search(target: KroneckerTarget) -> KroneckerSolution | None:
 
     Existence over an unbounded horizon is guaranteed for rationally
     independent frequencies (Kronecker); a bounded scan can legitimately
-    come up empty.
+    come up empty.  t_max * max|frequency| must not exceed _MAX_PHASE.
     """
     freqs = target.frequencies
     phases = target.phases
     eps = target.epsilon
     max_freq = float(np.max(np.abs(freqs)))
+    _check_phase_range([max_freq], target.t_max, "t_max")
     if max_freq == 0.0:  # the phases do not move: only t_min is tested
         step, count = 0.0, 1
     else:
@@ -713,7 +712,7 @@ def periodicity_search(
         grid = _spectrum_grid(sd)
         coeffs = np.full(sd.n, 1.0 / sd.n)
         step = _lipschitz_step(0.5 * float(grid.lam[-1] - grid.lam[0]))
-        amplitudes, point_bytes = _phase_kernel(grid, coeffs, step)
+        amplitudes, point_bytes = _phase_kernel(grid.lam, coeffs, step)  # its own step: a grid not kept
         for start, stop in _grid_chunks(_grid_count(t_max, step), point_bytes):
             below = np.flatnonzero(amplitudes(start, stop) < level)
             if len(below):

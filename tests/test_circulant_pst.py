@@ -25,7 +25,7 @@ from hermwalk import (
     upst_certify,
 )
 from hermwalk import circulant_pst
-from hermwalk.errors import UnsupportedGraph
+from hermwalk.errors import HermwalkError, PhaseRangeExceeded, UnsupportedGraph
 from hermwalk.linalg import SpectralDecomposition
 from hermwalk.swaut import _cycles
 
@@ -467,3 +467,39 @@ class TestScheduleValidation:
         prefix = "schedule validation failed at step 1 (fidelity "
         assert report.failure.detail.startswith(prefix)
         assert float(report.failure.detail[len(prefix) : -1]) == pytest.approx(expected, abs=1e-9)
+
+
+class TestUpstShiftInvariance:
+    # A + cI has the walk of A up to a global phase; the certificate is fit
+    # on A - (tr A/n) I, so a shift moves alpha_offset alone
+    @pytest.mark.parametrize("s", [1e6, 1e8, 1e9])
+    def test_shifted_c3_certified_with_exact_beta(self, s):
+        g = construct_cp(3)
+        base = upst_certify(g)
+        report = upst_certify(HermitianGraph(n=3, adjacency=g.adjacency + s * np.eye(3)))
+        assert report.universal
+        cert = report.certificate
+        assert abs(cert.beta - SQRT3) <= 1e-12
+        assert (cert.j, cert.c) == (base.certificate.j, base.certificate.c)
+        assert cert.alpha_offset == pytest.approx(base.certificate.alpha_offset + s, abs=1e-12 * s)
+        assert cert.max_residual <= 1e-12
+        assert [r.target for r in report.transfers] == [r.target for r in base.transfers]
+
+    def test_shifted_upst_form_certified(self, rng):
+        lam = [0.5 * (3 * k + c * 7) for k, c in enumerate([0, 1, -1, 0, 2, 0, -1])]
+        a = switched_relabeled(circulant_from_fourier_eigenvalues(lam).adjacency, rng)
+        base = upst_certify(HermitianGraph(n=7, adjacency=a))
+        report = upst_certify(HermitianGraph(n=7, adjacency=a + 1e7 * np.eye(7)))
+        assert base.universal and report.universal
+        assert (report.certificate.j, report.certificate.c) == (base.certificate.j, base.certificate.c)
+        assert report.certificate.beta == pytest.approx(base.certificate.beta, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1.9e9, 2e9, 5e9])
+    def test_schedule_past_phase_range_raises_not_degenerate(self, s):
+        # the spectrum keeps its width, so the certificate is issued, and the
+        # schedule's phases t * lambda then pass 2**32 at step 2 or 3
+        g = construct_cp(3)
+        shifted = HermitianGraph(n=3, adjacency=g.adjacency + s * np.eye(3))
+        with pytest.raises(PhaseRangeExceeded, match="exceeds 2\\*\\*32") as info:
+            upst_certify(shifted)
+        assert isinstance(info.value, ValueError) and not isinstance(info.value, HermwalkError)

@@ -486,3 +486,32 @@ def test_pst_at_without_time_rejected_before_diagonalizing(c3_file, capsys, monk
     monkeypatch.setattr(cli, "hermitian_eigendecomposition", refuse)
     code, out, err = run(capsys, "transfer", c3_file, "0", "1", "pst-at")
     assert (code, out, err) == (2, "", "error: pst-at requires --t\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("shift", ["0", "1e6", "1e9", "1.5e9", "2e9"])
+def test_analyze_shifted_c3_keeps_its_group_and_exits_0(tmp_path, capsys, shift):
+    # C_3 + s I has C_3's walk up to a global phase: the same switching group
+    # at every shift, the certificate while the schedule's phases stay within
+    # 2**32, and an Unsupported upst line once they do not
+    path = str(tmp_path / "c3.hg")
+    assert run(capsys, "construct", "circulant", f"{shift},-1j,1j", "-o", path)[0] == 0
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert "swaut: order=3 abelian=True cyclic=True order_divides_n=True fixed_point_free=True" in lines
+    if float(shift) <= 1e9:
+        assert lines[-9] == "upst: UniversalPST j=1 beta=1.73205080757 m=1"
+        assert lines[-5:-3] == ["    beta=1.7320508075688774", "    j=1"]
+    else:
+        assert lines[-1] == (
+            "upst: Unsupported (t * max|lambda| exceeds 2**32, where float64 phases lose about 5e-7 rad)"
+        )
+
+
+def test_transfer_past_phase_range_still_exits_2(tmp_path, capsys):
+    path = str(tmp_path / "c3.hg")
+    assert run(capsys, "construct", "circulant", "2e9,-1j,1j", "-o", path)[0] == 0
+    code, out, err = run(capsys, "transfer", path, "0", "1", "pst-at", "--t", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: t * max|lambda| exceeds 2**32, where float64 phases lose about 5e-7 rad\n"

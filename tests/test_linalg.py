@@ -261,3 +261,25 @@ class TestNearestMonomial:
         mono, _ = nearest_monomial(u)
         anchor = next((k for k in range(4) if mono.perm[k] != k), 0)
         assert abs(mono.phases[anchor] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_nearest_monomial_matches_per_column_argmax(rng, n):
+    # the permutation is each column's first largest-modulus row, and the
+    # phases are those entries over their moduli, as a loop over columns reads them
+    for t in (0.0, 0.7, 3.1):
+        sd = hermitian_eigendecomposition(random_hermitian(rng, n))
+        for u in (evolution_operator(sd, t), np.eye(n, dtype=complex)[rng.permutation(n)] * 1j):
+            mono, residual = nearest_monomial(u)
+            phi = [int(np.argmax(np.abs(u[:, k]))) for k in range(n)]
+            if len(set(phi)) < n:
+                assert (mono, residual) == (None, math.inf)
+                continue
+            d = np.array([u[phi[k], k] for k in range(n)])
+            d /= np.abs(d)
+            want = MonomialMatrix(tuple(phi), d)
+            assert mono.perm == want.perm
+            assert np.array_equal(mono.phases, want.phases)
+            fitted = np.zeros((n, n), dtype=complex)
+            fitted[phi, range(n)] = d
+            assert residual == max_abs(u - fitted)

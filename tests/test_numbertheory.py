@@ -439,3 +439,16 @@ class TestCommensurate:
         result = pst_spectral_certificate(values)
         assert isinstance(result, NoCertificate)
         assert result.reason is CertificateFailure.IRRATIONAL_RATIO
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_value_goes_through_the_lattice():
+    # one value is a one-row lattice [1 | x/tol]: [1] when |x| <= tol, and the
+    # same float64 bound as for two values
+    assert integer_relation([3e-11], 5, 1e-10) == [1]
+    assert integer_relation([-2.0], 5, 1e-10) is None
+    assert independence_screen([2.5]).likely_independent
+    with pytest.raises(OverflowError, match="float64 Gram-Schmidt"):
+        integer_relation([1e200], 10, 1e-10)
+    with pytest.raises(OverflowError, match="float64 Gram-Schmidt"):
+        independence_screen([1e200], 1e-10)

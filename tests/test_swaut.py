@@ -506,3 +506,80 @@ class TestPlacementBudget:
             enumerate_switching_automorphisms(complete_with_heavy_edges(5, ()))
         monkeypatch.setattr(swaut, "_PLACEMENT_BUDGET", 325)
         assert enumerate_switching_automorphisms(complete_with_heavy_edges(5, ())).order == 120
+
+
+SHIFT_GRAPHS = {
+    "C3": lambda: switched(construct_cp(3), 1),
+    "C5": lambda: switched(construct_cp(5), 2),
+    "K4": lambda: switched(construct_k4(), 3),
+    "upst-n7": lambda: upst_form_circulant(7, 7),
+}
+
+
+def shifted(g, s):
+    return HermitianGraph(n=g.n, adjacency=g.adjacency + s * np.eye(g.n))
+
+
+class TestShiftInvariance:
+    """A + cI has the walk of A up to a global phase, and the same switching
+    group: the searches compare off-diagonal weights and diagonal entries
+    each on their own scale, so no shift inflates a tolerance."""
+
+    @pytest.mark.parametrize("s", [1e7, 1e9, 2e9, 1e12])
+    @pytest.mark.parametrize("name", SHIFT_GRAPHS)
+    def test_group_survives_a_diagonal_shift(self, name, s):
+        g = SHIFT_GRAPHS[name]()
+        base = enumerate_switching_automorphisms(g)
+        group = enumerate_switching_automorphisms(shifted(g, s))
+        assert (group.order, group.is_abelian, group.is_cyclic) == (base.order, base.is_abelian, base.is_cyclic)
+        assert [e.perm for e in group.elements] == [e.perm for e in base.elements]
+        # the off-diagonal entries are unchanged, so are the phases, bit for bit
+        for got, want in zip(group.elements, base.elements):
+            assert np.array_equal(got.phases, want.phases)
+        report = structure_report(group, g.n, upgst_evidence=True)
+        assert report.violations == []
+
+    @pytest.mark.parametrize("s", [2e9, 1e12])
+    def test_transposition_is_no_element_of_shifted_c3(self, s):
+        # a transposition maps C_3's weight -i onto i: |MA - AM|_max = 2
+        a = shifted(construct_cp(3), s).adjacency
+        swap = MonomialMatrix((1, 0, 2), np.ones(3)).to_matrix()
+        assert max_abs(swap @ a - a @ swap) == pytest.approx(2.0)
+        group = enumerate_switching_automorphisms(HermitianGraph(n=3, adjacency=a))
+        assert [e.perm for e in group.elements] == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+
+    def test_diagonal_entries_still_have_to_match(self):
+        # one vertex of a shifted C_4 carries 1 more on the diagonal, far
+        # beyond 1e-9 of max|A_vv|: only the reflection through that vertex
+        # and its opposite keeps it
+        a = shifted(path_graph(4), 1e6).adjacency.copy()
+        a[0, 3] = a[3, 0] = 1.0
+        base = enumerate_switching_automorphisms(HermitianGraph(n=4, adjacency=a))
+        assert base.order == 8
+        a[0, 0] += 1.0
+        group = enumerate_switching_automorphisms(HermitianGraph(n=4, adjacency=a))
+        assert [e.perm for e in group.elements] == [(0, 1, 2, 3), (0, 3, 2, 1)]
+
+    @pytest.mark.parametrize("s", [0.0, 2e9, 1e12])
+    def test_isomorphism_survives_a_diagonal_shift(self, s):
+        g = construct_cp(5)
+        h = switched(g, 4)
+        assert is_switching_isomorphic(shifted(g, s), shifted(h, s)) is not None
+        # diagonals that differ by more than 1e-9 of max|A_vv|
+        assert is_switching_isomorphic(shifted(g, s), shifted(h, 1.001 * s + 1.0)) is None
+
+
+@pytest.mark.parametrize("w", [[0, -1j, 1j], [0, 1, 2, 1], [0, 1j, 2, 2, -1j]], ids=["C3", "n4", "n5"])
+def test_diagonal_rounding_noise_keeps_the_group(w):
+    # a traceless circulant built as F diag(lambda) F^H carries diagonal
+    # entries of order 1e-16 that differ from row to row; on the scale of
+    # max|A_uv| they are all zero, and the group is that of the circulant
+    n = len(w)
+    k = np.arange(n)
+    f = np.exp(2j * np.pi * np.outer(k, k) / n) / math.sqrt(n)
+    lam = np.array([sum(w[j] * np.exp(2j * np.pi * j * m / n) for j in range(n)) for m in range(n)]).real
+    a = (f * lam) @ f.conj().T
+    a = (a + a.conj().T) / 2.0
+    assert float(np.max(np.abs(np.diag(a)))) < 1e-14 and len(set(np.diag(a).real.tolist())) > 1
+    want = enumerate_switching_automorphisms(circulant(w)).order
+    assert enumerate_switching_automorphisms(HermitianGraph(n=n, adjacency=a)).order == want

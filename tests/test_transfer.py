@@ -27,7 +27,7 @@ from hermwalk import (
     scan_to_csv,
 )
 from hermwalk import transfer
-from hermwalk.errors import IndexOutOfRange, InvalidTarget
+from hermwalk.errors import HermwalkError, IndexOutOfRange, InvalidTarget, PhaseRangeExceeded
 
 from conftest import haar_unitary, random_hermitian
 
@@ -1036,3 +1036,32 @@ class TestSpectrumGrid:
         assert (grid.step, grid.margin) == (rebuilt.step, rebuilt.margin)
         assert grid.lam.tobytes() == rebuilt.lam.tobytes()
         assert grid.inner.tobytes() == rebuilt.inner.tobytes()
+
+
+class TestKroneckerPhaseRange:
+    # the same rule as every other time search: t_max * max|frequency| at most
+    # 2**32, beyond which float64 rounds the phases by more than about 5e-7 rad
+    def test_horizon_past_phase_range_refused(self):
+        bound = 2.0**32 / 2.0
+        for freqs in ([1.0, -2.0], [2.0, math.sqrt(2.0)]):
+            target = KroneckerTarget(
+                frequencies=freqs, phases=[0.0, 0.0], epsilon=0.3, t_min=bound - 50.0, t_max=bound * (1 + 1e-12)
+            )
+            with pytest.raises(PhaseRangeExceeded, match=r"t_max \* max\|lambda\| exceeds 2\*\*32"):
+                kronecker_time_search(target)
+
+    def test_horizon_within_phase_range_searched(self):
+        bound = 2.0**32 / math.sqrt(2.0)
+        target = KroneckerTarget(
+            frequencies=[1.0, math.sqrt(2.0)], phases=[0.3, 1.1], epsilon=0.3, t_min=bound - 1000.0, t_max=bound
+        )
+        sol = kronecker_time_search(target)
+        assert sol is not None and target.t_min <= sol.t <= target.t_max
+
+    def test_zero_frequencies_take_any_horizon(self):
+        target = KroneckerTarget(frequencies=[0.0], phases=[0.0], epsilon=0.1, t_max=1e300)
+        assert kronecker_time_search(target).t == 0.0
+
+    def test_refusal_is_a_value_error(self):
+        assert issubclass(PhaseRangeExceeded, ValueError)
+        assert not issubclass(PhaseRangeExceeded, HermwalkError)
