@@ -30,11 +30,15 @@ from .graph import (
     save_graph,
 )
 from .linalg import (
+    MonomialMatrix,
     SpectralDecomposition,
     anticommuting_exponential,
+    compose,
     evolution_operator,
     hermitian_eigendecomposition,
     nearest_monomial,
+    projective_order,
+    projectively_equal,
 )
 from .numbertheory import (
     gcd,
@@ -51,13 +55,9 @@ from .spectra import (
     phase_alignment,
 )
 from .swaut import (
-    MonomialMatrix,
     SwitchingGroup,
-    compose,
     enumerate_switching_automorphisms,
     is_switching_isomorphic,
-    projective_order,
-    projectively_equal,
     structure_report,
 )
 from .transfer import (

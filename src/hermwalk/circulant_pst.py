@@ -24,9 +24,10 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnsupportedGraph
-from .linalg import SpectralDecomposition, hermitian_eigendecomposition, relative_tol
+from .linalg import (MonomialMatrix, SpectralDecomposition, _cycles, hermitian_eigendecomposition,
+                     relative_tol)
 from .numbertheory import commensurate, modular_inverse
-from .swaut import MonomialMatrix, SwitchingGroup, _cycles, enumerate_switching_automorphisms
+from .swaut import SwitchingGroup, enumerate_switching_automorphisms
 from .transfer import TransferKind, TransferReport, fidelity
 
 _VALIDATE_TOL = 1e-6
@@ -67,9 +68,12 @@ def pst_spectral_certificate(eigs) -> PstCertificate | NoCertificate:
     m_k of one scale beta, fit by numbertheory.commensurate against the
     first nonzero one; j is forced by k = 1, and the congruence
     m_k = j*k (mod n) must hold for every k.  Zero differences (1e-9) and
-    the residual (1e-8) are relative to max|lambda|.
+    the residual (1e-8) are relative to max|lambda|.  A non-finite
+    eigenvalue raises ValueError.
     """
     lam = np.asarray(eigs, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("eigenvalues must be finite")
     n = len(lam)
     if n < 2:
         return NoCertificate(CertificateFailure.DEGENERATE_SPECTRUM, "need at least 2 eigenvalues")

@@ -20,11 +20,10 @@ from .errors import (
     DuplicateEdge,
     GraphFormatError,
     IndexOutOfRange,
+    NotHermitianCirculant,
     OrderTooLarge,
 )
-from .linalg import HERMITIAN_TOL, as_square_complex, max_abs, relative_tol
-from .spectra import check_hermitian_circulant
-from .swaut import MonomialMatrix
+from .linalg import HERMITIAN_TOL, MonomialMatrix, as_square_complex, max_abs, relative_tol
 
 _MAX_ALPHA = math.log(np.finfo(float).max)  # largest alpha whose exp is a finite float64
 
@@ -79,6 +78,23 @@ def from_entries(n: int, triples, labels: list[str] | None = None) -> HermitianG
     return HermitianGraph(n=n, adjacency=adj, labels=labels)
 
 
+def check_hermitian_circulant(w: np.ndarray) -> None:
+    """Raise ValueError unless w is a nonempty 1-d array of finite weights,
+    and NotHermitianCirculant unless this first row of a circulant has a
+    real w[0] and w[n-k] == conj(w[k]) for k >= 1, within 1e-12 of max|w|."""
+    if w.ndim != 1 or len(w) < 1:
+        raise ValueError("weights must be a nonempty 1-d array")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    n = len(w)
+    tol = relative_tol(HERMITIAN_TOL, w)
+    if abs(w[0].imag) > tol:
+        raise NotHermitianCirculant("weights[0] must be real")
+    for k in range(1, n):
+        if abs(w[(n - k) % n] - np.conj(w[k])) > tol:
+            raise NotHermitianCirculant(f"weights[{n - k}] must conjugate weights[{k}]")
+
+
 def circulant(weights) -> HermitianGraph:
     """Circulant graph from its first row of weights.
 
@@ -86,8 +102,6 @@ def circulant(weights) -> HermitianGraph:
     real weights[0].
     """
     w = np.asarray(weights, dtype=complex)
-    if w.ndim != 1 or len(w) < 1:
-        raise ValueError("weights must be a nonempty 1-d array")
     check_hermitian_circulant(w)
     n = len(w)
     idx = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n

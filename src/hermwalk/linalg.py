@@ -2,9 +2,10 @@
 
 Hermitian eigendecomposition via LAPACK `eigh`, spectrally
 computed unitary evolution operators, the closed-form exponential for
-anticommuting pairs, and projection of a unitary onto the nearest
-monomial matrix.  Matrix comparisons throughout the package use the
-entrywise max-modulus norm so tolerances stay dimension independent.
+anticommuting pairs, monomial matrices (a permutation times a unit-modulus
+diagonal) and their projective algebra, and projection of a unitary onto
+the nearest monomial matrix.  Matrix comparisons throughout the package use
+the entrywise max-modulus norm so tolerances stay dimension independent.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     NoConvergence,
     NotAnticommuting,
     NotHermitian,
@@ -25,6 +27,8 @@ from .errors import (
 HERMITIAN_TOL = 1e-12  # max|A - A^dagger| accepted as Hermitian, relative to max|A_uv|
 _UNITARY_TOL = 1e-10  # dimensionless, like every check on a unitary
 _RECONSTRUCTION_TOL = 1e-9
+_UNIT_TOL = 1e-12  # on monomial phases, which are dimensionless
+_PROJ_TOL = 1e-9
 
 
 def check_tolerance(tol: float, name: str = "tol", upper: float = math.inf) -> None:
@@ -141,6 +145,116 @@ def anticommuting_exponential(a, b, t: float) -> np.ndarray:
     return cos_part + 1j * (a + b) @ sinc_part
 
 
+@dataclass(eq=False)
+class MonomialMatrix:
+    """Permutation plus unit-modulus column phases, in canonical projective form.
+
+    The matrix acts as e_k -> phases[k] * e_perm[k].  The global phase is
+    quotiented out by rescaling so that the phase at the smallest index k
+    with perm[k] != k (or index 0 for the identity permutation) equals 1.
+    """
+
+    perm: tuple[int, ...]
+    phases: np.ndarray
+
+    def __post_init__(self):
+        self.perm = tuple(int(p) for p in self.perm)
+        n = len(self.perm)
+        if sorted(self.perm) != list(range(n)):
+            raise ValueError("perm is not a bijection on 0..n-1")
+        ph = np.asarray(self.phases, dtype=complex).copy()
+        if ph.shape != (n,):
+            raise ValueError("phases must have one entry per column")
+        mags = np.abs(ph)
+        if not np.max(np.abs(mags - 1.0)) <= _UNIT_TOL:  # so that a NaN fails too
+            raise ValueError("phases must have unit modulus")
+        ph /= mags
+        anchor = next((k for k in range(n) if self.perm[k] != k), 0)
+        ph /= ph[anchor]
+        self.phases = ph
+
+    @property
+    def n(self) -> int:
+        return len(self.perm)
+
+    @classmethod
+    def identity(cls, n: int) -> "MonomialMatrix":
+        return cls(tuple(range(n)), np.ones(n, dtype=complex))
+
+    def is_identity_class(self) -> bool:
+        if self.perm != tuple(range(self.n)):
+            return False
+        return float(np.max(np.abs(self.phases - self.phases[0]))) <= _PROJ_TOL
+
+    def to_matrix(self) -> np.ndarray:
+        m = np.zeros((self.n, self.n), dtype=complex)
+        m[list(self.perm), range(self.n)] = self.phases
+        return m
+
+    def inverse(self) -> "MonomialMatrix":
+        n = self.n
+        inv = [0] * n
+        for k, p in enumerate(self.perm):
+            inv[p] = k
+        phases = np.conj(self.phases[inv])
+        return MonomialMatrix(tuple(inv), phases)
+
+
+def compose(m1: MonomialMatrix, m2: MonomialMatrix) -> MonomialMatrix:
+    """Product of two monomials: apply m2 first, then m1.
+
+    matrix(compose(m1, m2)) equals matrix(m1) @ matrix(m2) up to the global
+    phase removed by canonicalization.
+    """
+    if m1.n != m2.n:
+        raise DimensionMismatch(f"dimensions differ: {m1.n} vs {m2.n}")
+    perm = tuple(m1.perm[p] for p in m2.perm)
+    phases = m1.phases[list(m2.perm)] * m2.phases
+    return MonomialMatrix(perm, phases)
+
+
+def projectively_equal(m1: MonomialMatrix, m2: MonomialMatrix, tol: float = _PROJ_TOL) -> bool:
+    if m1.perm != m2.perm:
+        return False
+    return float(np.max(np.abs(m1.phases - m2.phases))) <= tol
+
+
+def projective_order(m: MonomialMatrix, cap: int | None = None) -> int:
+    """Smallest k >= 1 with m^k projectively equal to the identity.
+
+    Such a k is a multiple of the order L of m's permutation, so the
+    default cap is 2 * n * L; a larger order raises RuntimeError.
+    """
+    if cap is None:
+        cap = 2 * m.n * _perm_order(m.perm)
+    acc = m
+    for k in range(1, cap + 1):
+        if acc.is_identity_class():
+            return k
+        acc = compose(acc, m)
+    raise RuntimeError("projective order exceeded cap; element is not torsion at this size")
+
+
+def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every cycle of perm, fixed points included, each from its smallest vertex."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        cyc = []
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            cyc.append(v)
+            v = perm[v]
+        if cyc:
+            cycles.append(tuple(cyc))
+    return cycles
+
+
+def _perm_order(perm: tuple[int, ...]) -> int:
+    return math.lcm(*map(len, _cycles(perm)))
+
+
 def nearest_monomial(u) -> tuple[MonomialMatrix | None, float]:
     """Project a unitary onto the closest monomial matrix.
 
@@ -151,7 +265,6 @@ def nearest_monomial(u) -> tuple[MonomialMatrix | None, float]:
     fitted monomial.  The returned monomial is the canonical projective
     representative; the residual refers to the best-phase fit.
     """
-    from .swaut import MonomialMatrix  # swaut imports relative_tol from here
     u = as_square_complex(u)
     n = u.shape[0]
     if max_abs(u.conj().T @ u - np.eye(n)) > 1e-8:

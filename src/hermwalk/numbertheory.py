@@ -89,9 +89,12 @@ def commensurate(values, r: int) -> tuple[float, list[int]] | None:
     """Scale g > 0 and integers m with values[k] = g m[k], from the fits
     p_k/q_k of values[k]/values[r] under RATIO_MAX_DEN and RATIO_TOL:
     g = |values[r]| / L and m[k] = ±p_k L/q_k, L the lcm of the q_k, the
-    sign that of values[r].  None when a ratio has no fit or L passes _LCM_CAP.
+    sign that of values[r].  None when a ratio has no fit or L passes _LCM_CAP;
+    a zero values[r] raises ValueError.
     """
     values = [float(v) for v in values]
+    if values[r] == 0.0:
+        raise ValueError(f"values[{r}] must be nonzero")
     fits = [rational_reconstruct(v / values[r], RATIO_MAX_DEN, RATIO_TOL) for v in values]
     if None in fits:
         return None
@@ -102,7 +105,7 @@ def commensurate(values, r: int) -> tuple[float, list[int]] | None:
     return abs(values[r]) / den, [sign * p * (den // q) for p, q in fits]
 
 
-def _lll_reduce(basis: np.ndarray, delta: float = _LOVASZ_DELTA) -> np.ndarray:
+def _lll_reduce(basis: np.ndarray) -> np.ndarray:
     """Floating-point LLL on the rows of `basis` (Cohen, Alg. 2.6.3).
 
     One QR factorization gives the Gram-Schmidt coefficients mu and squared
@@ -126,7 +129,7 @@ def _lll_reduce(basis: np.ndarray, delta: float = _LOVASZ_DELTA) -> np.ndarray:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 mu_k[: j + 1] = [x - q * y for x, y in zip(mu_k, mu[j][: j + 1])]
         m = mu_k[k - 1]
-        if star_sq[k] >= (delta - m * m) * star_sq[k - 1]:
+        if star_sq[k] >= (_LOVASZ_DELTA - m * m) * star_sq[k - 1]:
             k += 1
             continue
         # swap rows k-1 and k, then rotate mu and B of the pair in place
@@ -154,6 +157,8 @@ def _lattice_relation(xs: np.ndarray, coeff_bound: int, tol: float) -> np.ndarra
     m = len(xs)
     if m == 0:
         return None
+    if np.any(np.isnan(xs)):  # as in Fraction: nan is a ValueError, inf an OverflowError
+        raise ValueError("values must not be nan")
     scale = 1.0 / tol
     if np.max(np.abs(xs)) * scale > _LATTICE_SCALE_MAX:
         raise OverflowError(
@@ -174,8 +179,8 @@ def _lattice_relation(xs: np.ndarray, coeff_bound: int, tol: float) -> np.ndarra
 
 def integer_relation(xs, coeff_bound: int, tol: float) -> list[int] | None:
     """Nonzero integers a with |a_k| <= coeff_bound and |sum a_k x_k| <= tol,
-    or None when the lattice search finds nothing.  Raises OverflowError
-    when max|x|/tol passes _LATTICE_SCALE_MAX."""
+    or None when the lattice search finds nothing.  Raises ValueError for a
+    nan and OverflowError when max|x|/tol passes _LATTICE_SCALE_MAX."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1:
         raise ValueError("xs must be a 1-d array")
@@ -203,13 +208,11 @@ def independence_screen(eigs, tol: float = 1e-10) -> IndependenceReport:
     lattice search (coefficient bound 10^4).  The screened set may exceed
     the public integer_relation size cap; the search has no size limit, only
     a reliability one and an iteration budget (SearchBudgetExhausted).
-    Raises OverflowError as integer_relation does.
+    Raises ValueError and OverflowError as integer_relation does.
     """
     check_tolerance(tol)
     values = np.unique(np.asarray(eigs, dtype=float))
-    values = values[np.abs(values) > tol]
-    if len(values) == 0:
-        return IndependenceReport(True, None, values, None)
+    values = values[~(np.abs(values) <= tol)]  # a nan stays, and the lattice refuses it
     relation = _lattice_relation(values, 10**4, tol)
     if relation is None:
         return IndependenceReport(True, None, values, None)

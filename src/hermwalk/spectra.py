@@ -16,29 +16,18 @@ import numpy as np
 from .errors import (
     AlignmentBoundViolated,
     NonRealEigenvalue,
-    NotHermitianCirculant,
     TraceNotZero,
     WeightsInvalid,
 )
-from .linalg import HERMITIAN_TOL, SpectralDecomposition, check_tolerance, relative_tol
+from .graph import check_hermitian_circulant
+from .linalg import SpectralDecomposition, check_tolerance, relative_tol
 from .numbertheory import RATIO_MAX_DEN, RATIO_TOL, rational_reconstruct
-
-
-def check_hermitian_circulant(w: np.ndarray) -> None:
-    """Raise NotHermitianCirculant unless the first row w of a circulant has
-    a real w[0] and w[n-k] == conj(w[k]) for k >= 1, within 1e-12 of max|w|."""
-    n = len(w)
-    tol = relative_tol(HERMITIAN_TOL, w)
-    if abs(w[0].imag) > tol:
-        raise NotHermitianCirculant("weights[0] must be real")
-    for k in range(1, n):
-        if abs(w[(n - k) % n] - np.conj(w[k])) > tol:
-            raise NotHermitianCirculant(f"weights[{n - k}] must conjugate weights[{k}]")
 
 
 def circulant_eigenvalues(weights) -> np.ndarray:
     """Eigenvalues lambda_k = sum_j a_j omega^(jk) of a Hermitian circulant,
-    in Fourier index order k = 0..n-1 (not sorted), real within 1e-10 of max|lambda|."""
+    in Fourier index order k = 0..n-1 (not sorted), real within 1e-10 of max|lambda|.
+    The weights are checked by graph.check_hermitian_circulant."""
     w = np.asarray(weights, dtype=complex)
     check_hermitian_circulant(w)
     lam = len(w) * np.fft.ifft(w)
@@ -134,9 +123,9 @@ def phase_alignment(coefficients, tol: float) -> tuple[bool, float]:
     alphas = np.array([float(a) for _, a in coefficients])
     if len(betas) == 0:
         raise WeightsInvalid("need at least one coefficient")
-    if np.any(betas <= 0):
+    if not np.all(betas > 0):  # both checks are written so that a NaN fails them
         raise WeightsInvalid("all weights must be positive")
-    if abs(float(np.sum(betas)) - 1.0) > 1e-12:
+    if not abs(float(np.sum(betas)) - 1.0) <= 1e-12:
         raise WeightsInvalid("weights must sum to 1 within 1e-12")
     s = abs(complex(np.sum(betas * np.exp(1j * alphas))))
     aligned = s >= 1.0 - tol

@@ -1,7 +1,7 @@
 """Switching automorphisms of Hermitian graphs.
 
-A monomial matrix is a permutation matrix times a unit-modulus diagonal.
-The monomials commuting with an adjacency matrix form the switching
+A monomial matrix (linalg.MonomialMatrix) is a permutation matrix times a
+unit-modulus diagonal.  The monomials commuting with an adjacency matrix form the switching
 automorphism group; modulo global phase that group is finite, and this
 module enumerates it and reports its structure (abelian, cyclic, order,
 fixed points).
@@ -9,16 +9,14 @@ fixed points).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, DisconnectedSupport, SearchBudgetExhausted
-from .linalg import SpectralDecomposition, hermitian_eigendecomposition, relative_tol
+from .linalg import (MonomialMatrix, SpectralDecomposition, _cycles, _perm_order,
+                     hermitian_eigendecomposition, relative_tol)
 
-_UNIT_TOL = 1e-12  # on phases, which are dimensionless
-_PROJ_TOL = 1e-9
 # the searches' weight comparisons: off-diagonal magnitudes and phases relative
 # to max off-diagonal |A_uv|, which a shift A + cI leaves alone; diagonal
 # entries relative to max|A_uv|, which their rounding follows whatever the shift
@@ -28,96 +26,6 @@ _ENTRY_FLOOR = 1e-3  # spectral route: smallest |U_vk| of the anchor row, dimens
 # placements the backtracking search may make: 10x the 5040-element group
 # of real K_7 (13,699 placements), far short of K_10 (about 9.9e6)
 _PLACEMENT_BUDGET = 150_000
-
-
-@dataclass(eq=False)
-class MonomialMatrix:
-    """Permutation plus unit-modulus column phases, in canonical projective form.
-
-    The matrix acts as e_k -> phases[k] * e_perm[k].  The global phase is
-    quotiented out by rescaling so that the phase at the smallest index k
-    with perm[k] != k (or index 0 for the identity permutation) equals 1.
-    """
-
-    perm: tuple[int, ...]
-    phases: np.ndarray
-
-    def __post_init__(self):
-        self.perm = tuple(int(p) for p in self.perm)
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError("perm is not a bijection on 0..n-1")
-        ph = np.asarray(self.phases, dtype=complex).copy()
-        if ph.shape != (n,):
-            raise ValueError("phases must have one entry per column")
-        mags = np.abs(ph)
-        if np.max(np.abs(mags - 1.0)) > _UNIT_TOL:
-            raise ValueError("phases must have unit modulus")
-        ph /= mags
-        anchor = next((k for k in range(n) if self.perm[k] != k), 0)
-        ph /= ph[anchor]
-        self.phases = ph
-
-    @property
-    def n(self) -> int:
-        return len(self.perm)
-
-    @classmethod
-    def identity(cls, n: int) -> "MonomialMatrix":
-        return cls(tuple(range(n)), np.ones(n, dtype=complex))
-
-    def is_identity_class(self) -> bool:
-        if self.perm != tuple(range(self.n)):
-            return False
-        return float(np.max(np.abs(self.phases - self.phases[0]))) <= _PROJ_TOL
-
-    def to_matrix(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n), dtype=complex)
-        m[list(self.perm), range(self.n)] = self.phases
-        return m
-
-    def inverse(self) -> "MonomialMatrix":
-        n = self.n
-        inv = [0] * n
-        for k, p in enumerate(self.perm):
-            inv[p] = k
-        phases = np.conj(self.phases[inv])
-        return MonomialMatrix(tuple(inv), phases)
-
-
-def compose(m1: MonomialMatrix, m2: MonomialMatrix) -> MonomialMatrix:
-    """Product of two monomials: apply m2 first, then m1.
-
-    matrix(compose(m1, m2)) equals matrix(m1) @ matrix(m2) up to the global
-    phase removed by canonicalization.
-    """
-    if m1.n != m2.n:
-        raise DimensionMismatch(f"dimensions differ: {m1.n} vs {m2.n}")
-    perm = tuple(m1.perm[p] for p in m2.perm)
-    phases = m1.phases[list(m2.perm)] * m2.phases
-    return MonomialMatrix(perm, phases)
-
-
-def projectively_equal(m1: MonomialMatrix, m2: MonomialMatrix, tol: float = _PROJ_TOL) -> bool:
-    if m1.perm != m2.perm:
-        return False
-    return float(np.max(np.abs(m1.phases - m2.phases))) <= tol
-
-
-def projective_order(m: MonomialMatrix, cap: int | None = None) -> int:
-    """Smallest k >= 1 with m^k projectively equal to the identity.
-
-    Such a k is a multiple of the order L of m's permutation, so the
-    default cap is 2 * n * L; a larger order raises RuntimeError.
-    """
-    if cap is None:
-        cap = 2 * m.n * _perm_order(m.perm)
-    acc = m
-    for k in range(1, cap + 1):
-        if acc.is_identity_class():
-            return k
-        acc = compose(acc, m)
-    raise RuntimeError("projective order exceeded cap; element is not torsion at this size")
 
 
 @dataclass(eq=False)
@@ -450,26 +358,6 @@ def format_group(group: SwitchingGroup) -> str:
         ph = " ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in e.phases)
         lines.append(f"  {cycles} phases=[{ph}]")
     return "\n".join(lines)
-
-
-def _cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Every cycle of perm, fixed points included, each from its smallest vertex."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        cyc = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(v)
-            v = perm[v]
-        if cyc:
-            cycles.append(tuple(cyc))
-    return cycles
-
-
-def _perm_order(perm: tuple[int, ...]) -> int:
-    return math.lcm(*map(len, _cycles(perm)))
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:

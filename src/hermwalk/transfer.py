@@ -61,7 +61,9 @@ x < 1e-4, x >= 1e15, nan and inf) go through format() one at a time.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import weakref
 from dataclasses import dataclass
 from enum import Enum
@@ -69,8 +71,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import IndexOutOfRange, InvalidTarget, PhaseRangeExceeded
-from .linalg import SpectralDecomposition, check_tolerance, evolution_operator, nearest_monomial
-from .swaut import MonomialMatrix
+from .linalg import (MonomialMatrix, SpectralDecomposition, check_tolerance, evolution_operator,
+                     nearest_monomial)
 
 _ROW = 64  # grid points per directly computed row-start phase
 _FIRST_CHUNK = 1 << 10  # grid points in a search's first chunk
@@ -86,7 +88,6 @@ _CSV_ROW_BYTES = 512  # _csv_rows' peak temporaries per CSV row (about 415 bytes
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
 # the doubles nearest 10**k, k in -4..15: x >= _DECADES[k + 4] iff x >= 10**k
 _DECADES = np.concatenate([1.0 / _POW10[4:0:-1], _POW10[:16]])
-_CSV_TABLES: list = []  # filled by the first _csv_tables call
 
 
 class TransferKind(Enum):
@@ -125,9 +126,11 @@ class KroneckerTarget:
             raise InvalidTarget("frequencies and phases must be 1-d arrays of equal length")
         if len(self.frequencies) == 0:
             raise InvalidTarget("need at least one frequency")
+        if not (np.all(np.isfinite(self.frequencies)) and np.all(np.isfinite(self.phases))):
+            raise InvalidTarget("frequencies and phases must be finite")
         if not 0.0 < self.epsilon < math.pi:
             raise InvalidTarget("epsilon must lie in (0, pi)")
-        if self.t_min < 0.0:
+        if not self.t_min >= 0.0:
             raise InvalidTarget("t_min must be nonnegative")
         if not math.isfinite(self.t_max):
             raise InvalidTarget("t_max must be finite")
@@ -142,9 +145,15 @@ class KroneckerSolution:
 
 
 def _check_vertex(sd: SpectralDecomposition, v: int) -> int:
+    """v as an int; a float or other non-integer raises IndexOutOfRange, as
+    does a vertex outside 0..n-1.  numpy integers pass."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise IndexOutOfRange(f"vertex {v} is not an integer") from None
     if not 0 <= v < sd.n:
         raise IndexOutOfRange(f"vertex {v} outside 0..{sd.n - 1}")
-    return int(v)
+    return v
 
 
 def _pair_coefficients(sd: SpectralDecomposition, a: int, b: int) -> np.ndarray:
@@ -329,33 +338,32 @@ def fidelity_scan(sd: SpectralDecomposition, a: int, b: int, t_max: float, sampl
     return out
 
 
-def _csv_tables() -> list:
-    """_csv_rows' tables [words, masks], built at the first call.
+@functools.cache  # lazy, so that importing the package does not build them
+def _csv_tables() -> tuple[np.ndarray, np.ndarray]:
+    """_csv_rows' tables (words, masks), built at the first call.
 
     words holds, as uint32, the 4-digit strings of 0..9999, then the same
     strings with their trailing zero digits as 0 bytes.  masks holds, for
     each key 4 (e + 4) + 2 frac + odd, e in -4..15, the bytes a row keeps
     (AND) and the bytes written into it (OR).
     """
-    if not _CSV_TABLES:
-        digit = np.arange(48, 58, dtype=np.uint8)
-        words = np.zeros((2 * 10**4, 4), np.uint8)
-        for j in range(4):  # digit j of q = 1000 q0 + 100 q1 + 10 q2 + q3
-            along_j = digit.reshape((10,) + (1,) * (3 - j))
-            words[: 10**4].reshape(10, 10, 10, 10, 4)[..., j] = along_j
-        kept = words[: 10**4] != 48
-        for j in (2, 1, 0):  # a digit stays when a nonzero digit follows
-            kept[:, j] |= kept[:, j + 1]
-        words[10**4 :] = words[: 10**4] * kept
-        k = np.arange(80)[:, None]
-        e, c = k // 4 - 4, np.arange(_CSV_WIDTH)
-        digits = (c >= 3) & (c <= 3 + e)  # digits 0..e of the first copy
-        keep = 255 * (digits | (c >= np.where(e < 0, 23, 24 + e)))
-        put = 48 * digits + 46 * ((c == 20) & (e >= 0) & (k // 2 % 2 == 1))
-        put[:, 1:6] += np.frombuffer(b"0.000", np.uint8) * (c[1:6] <= 1 - e) * (e < 0)
-        put[:, 0] = np.where(k[:, 0] % 2, 44, 10)  # "," before a fidelity, "\n" before a t
-        _CSV_TABLES[:] = words.view(np.uint32).ravel(), np.stack([keep, put]).astype(np.uint8)
-    return _CSV_TABLES
+    digit = np.arange(48, 58, dtype=np.uint8)
+    words = np.zeros((2 * 10**4, 4), np.uint8)
+    for j in range(4):  # digit j of q = 1000 q0 + 100 q1 + 10 q2 + q3
+        along_j = digit.reshape((10,) + (1,) * (3 - j))
+        words[: 10**4].reshape(10, 10, 10, 10, 4)[..., j] = along_j
+    kept = words[: 10**4] != 48
+    for j in (2, 1, 0):  # a digit stays when a nonzero digit follows
+        kept[:, j] |= kept[:, j + 1]
+    words[10**4 :] = words[: 10**4] * kept
+    k = np.arange(80)[:, None]
+    e, c = k // 4 - 4, np.arange(_CSV_WIDTH)
+    digits = (c >= 3) & (c <= 3 + e)  # digits 0..e of the first copy
+    keep = 255 * (digits | (c >= np.where(e < 0, 23, 24 + e)))
+    put = 48 * digits + 46 * ((c == 20) & (e >= 0) & (k // 2 % 2 == 1))
+    put[:, 1:6] += np.frombuffer(b"0.000", np.uint8) * (c[1:6] <= 1 - e) * (e < 0)
+    put[:, 0] = np.where(k[:, 0] % 2, 44, 10)  # "," before a fidelity, "\n" before a t
+    return words.view(np.uint32).ravel(), np.stack([keep, put]).astype(np.uint8)
 
 
 def _csv_rows(block: np.ndarray) -> str:

@@ -503,3 +503,13 @@ class TestUpstShiftInvariance:
         with pytest.raises(PhaseRangeExceeded, match="exceeds 2\\*\\*32") as info:
             upst_certify(shifted)
         assert isinstance(info.value, ValueError) and not isinstance(info.value, HermwalkError)
+
+
+@pytest.mark.parametrize(
+    "eigs",
+    [[0.0, math.nan, 1.0], [math.nan, math.nan, math.nan], [0.0, math.inf, 1.0], [0.0, 1.0, -math.inf]],
+)
+def test_spectral_certificate_rejects_non_finite_eigenvalues(eigs):
+    # [0, nan, 1] used to be reported as DegenerateSpectrum: all eigenvalues equal
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        pst_spectral_certificate(eigs)

@@ -346,3 +346,12 @@ class TestGraphFile:
         text = graph_to_text(g)
         assert "0.33333333333333331" in text
         assert "-0.2857142857142857" in text
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [([], "nonempty 1-d array"), ([0, math.nan, math.nan], "must be finite"), ([math.inf], "must be finite")],
+)
+def test_circulant_rejects_bad_weights_before_building(weights, message):
+    with pytest.raises(ValueError, match=message):
+        circulant(weights)

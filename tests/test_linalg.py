@@ -283,3 +283,13 @@ def test_nearest_monomial_matches_per_column_argmax(rng, n):
             fitted = np.zeros((n, n), dtype=complex)
             fitted[phi, range(n)] = d
             assert residual == max_abs(u - fitted)
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [[math.nan, 1.0], [1.0, complex(math.nan, 0.0)], [math.inf, 1.0], [complex(1.0, math.nan), 1.0]],
+)
+def test_monomial_rejects_non_finite_phases(phases):
+    # a NaN phase used to be stored, because the unit-modulus check let it through
+    with pytest.raises(ValueError, match="unit modulus"):
+        MonomialMatrix((1, 0), phases)

@@ -452,3 +452,31 @@ def test_one_value_goes_through_the_lattice():
         integer_relation([1e200], 10, 1e-10)
     with pytest.raises(OverflowError, match="float64 Gram-Schmidt"):
         independence_screen([1e200], 1e-10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: integer_relation([math.nan, 1.0], 10, 1e-10),
+        lambda: integer_relation([1.0, 2.0, math.nan], 10, 1e-10),
+        lambda: independence_screen([math.nan, 1.0, 2.0]),
+        lambda: independence_screen([math.nan]),
+    ],
+    ids=["relation-first", "relation-last", "screen", "screen-alone"],
+)
+def test_nan_is_refused_before_the_lattice(call):
+    # the screen used to drop the nan and report the relation [2, -1] of the rest
+    with pytest.raises(ValueError, match="nan"):
+        call()
+
+
+@pytest.mark.parametrize("values, r", [([1.0, 0.0], 1), ([0.0, 2.0, 3.0], 0), ([1.0, -0.0], 1)])
+def test_commensurate_refuses_a_zero_reference(values, r):
+    with pytest.raises(ValueError, match=f"values\\[{r}\\] must be nonzero"):
+        commensurate(values, r)
+
+
+def test_empty_screen_goes_through_the_lattice():
+    report = independence_screen([0.0, 1e-12])
+    assert report.likely_independent and report.relation is None
+    assert report.values.size == 0 and report.residual is None

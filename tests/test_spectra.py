@@ -235,3 +235,33 @@ class TestRatioPassStopsEarly:
     def test_zero_spectrum_is_vacuously_rational(self):
         report = eigenvalue_ratio_rationality(sd_of(np.zeros((3, 3), dtype=complex)))
         assert report.all_rational and report.pairs == 0 and report.entries == []
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        [(math.nan, 0.0), (1.0, 0.0)],
+        [(0.5, 0.0), (math.nan, 1.0)],
+        [(math.nan, 0.0)],
+        [(math.inf, 0.0), (1.0, 0.0)],
+    ],
+)
+def test_phase_alignment_rejects_non_finite_weights(coefficients):
+    with pytest.raises(WeightsInvalid):
+        phase_alignment(coefficients, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([], "nonempty 1-d array"),
+        ([[0, 1], [1, 0]], "nonempty 1-d array"),
+        ([0, math.nan, math.nan], "must be finite"),
+        ([0, math.inf, math.inf], "must be finite"),
+        ([complex(0, math.nan), 1, 1], "must be finite"),
+    ],
+)
+def test_circulant_eigenvalues_reject_bad_weights(weights, message):
+    # an empty row used to raise IndexError, and a NaN row returned NaNs
+    with pytest.raises(ValueError, match=message):
+        circulant_eigenvalues(weights)

@@ -1065,3 +1065,56 @@ class TestKroneckerPhaseRange:
     def test_refusal_is_a_value_error(self):
         assert issubclass(PhaseRangeExceeded, ValueError)
         assert not issubclass(PhaseRangeExceeded, HermwalkError)
+
+
+@pytest.mark.parametrize(
+    "frequencies, phases, t_min",
+    [
+        ([math.nan, 1.0], [0.0, 0.0], 0.0),
+        ([math.inf, 1.0], [0.0, 0.0], 0.0),
+        ([1.0, math.sqrt(2.0)], [math.inf, 0.0], 0.0),
+        ([1.0, math.sqrt(2.0)], [0.0, math.nan], 0.0),
+        ([1.0, math.sqrt(2.0)], [0.0, 0.0], math.nan),
+    ],
+)
+def test_kronecker_target_rejects_non_finite_input(frequencies, phases, t_min):
+    # a NaN frequency used to fail in the grid count, and an infinite phase
+    # made the search return None
+    with pytest.raises(InvalidTarget):
+        KroneckerTarget(frequencies, phases, 0.3, t_min=t_min, t_max=10.0)
+
+
+_VERTEX_CALLS = {
+    "fidelity": lambda sd, a, b: fidelity(sd, a, b, 1.0),
+    "pgst_search": lambda sd, a, b: pgst_search(sd, a, b, 0.9, t_max=10.0),
+    "pst_check_at_time": lambda sd, a, b: pst_check_at_time(sd, a, b, 1.0),
+    "fidelity_scan": lambda sd, a, b: fidelity_scan(sd, a, b, 1.0, 3),
+}
+
+
+@pytest.mark.parametrize("call", _VERTEX_CALLS.values(), ids=_VERTEX_CALLS.keys())
+@pytest.mark.parametrize(
+    "a, b",
+    [(1.5, 2), (0, 2.0), (np.float64(1.0), 2), (0, "1")],
+    ids=["float", "float-target", "numpy-float", "str"],
+)
+def test_non_integer_vertex_is_refused(call, a, b):
+    # 1.5 used to be checked against the range and then truncated to vertex 1
+    sd = hermitian_eigendecomposition(construct_cp(3).adjacency)
+    with pytest.raises(IndexOutOfRange, match="is not an integer"):
+        call(sd, a, b)
+
+
+@pytest.mark.parametrize("call", _VERTEX_CALLS.values(), ids=_VERTEX_CALLS.keys())
+def test_numpy_integer_vertices_pass(call):
+    sd = hermitian_eigendecomposition(construct_cp(3).adjacency)
+    want = call(sd, 0, 2)
+    got = call(sd, np.int64(0), np.int32(2))
+    if isinstance(want, np.ndarray):
+        assert np.array_equal(got, want)
+    elif isinstance(want, float):
+        assert got == want
+    else:
+        fields = ("source", "target", "time", "fidelity")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+        assert type(got.source) is int
