@@ -66,10 +66,15 @@ def pst_spectral_certificate(eigs) -> PstCertificate | NoCertificate:
 
     The differences mu_k = lambda_k - lambda_0 must be integer multiples
     m_k of one scale beta, fit by numbertheory.commensurate against the
-    first nonzero one; j is forced by k = 1, and the congruence
-    m_k = j*k (mod n) must hold for every k.  Zero differences (1e-9) and
-    the residual (1e-8) are relative to max|lambda|.  A non-finite
-    eigenvalue raises ValueError.
+    first nonzero one, mu_r; j is forced by k = 1, and the congruence
+    m_k = j*k (mod n) must hold for every k.  Zero differences are those
+    within 1e-9 of max|lambda|.  A non-finite eigenvalue raises ValueError.
+
+    max_residual = max_k |mu_k - beta m_k| is reported, not checked: every
+    ratio mu_k/mu_r that commensurate accepts lies within RATIO_TOL = 1e-9
+    of its fit p_k/q_k, beta m_k = mu_r p_k/q_k and |mu_r| <= 2 max|lambda|, so
+    |mu_k - beta m_k| = |mu_r| |mu_k/mu_r - p_k/q_k| <= 2 RATIO_TOL max|lambda|
+    plus rounding.
     """
     lam = np.asarray(eigs, dtype=float)
     if not np.all(np.isfinite(lam)):
@@ -99,11 +104,6 @@ def pst_spectral_certificate(eigs) -> PstCertificate | NoCertificate:
             )
     c = tuple((m[k] - j * k) // n for k in range(n))
     residual = float(np.max(np.abs(mu - beta * np.asarray(m, dtype=float))))
-    if residual > relative_tol(1e-8, lam):
-        return NoCertificate(
-            CertificateFailure.CONGRUENCE_FAIL,
-            f"residual {residual:.3e} exceeds the certificate budget",
-        )
     return PstCertificate(
         n=n, beta=beta, j=j, c=c, alpha_offset=float(lam[0]), max_residual=residual
     )

@@ -76,10 +76,6 @@ class WeightsInvalid(HermwalkError):
     pass
 
 
-class AlignmentBoundViolated(HermwalkError):
-    pass
-
-
 # transfer
 class InvalidTarget(HermwalkError):
     pass

@@ -152,6 +152,8 @@ class MonomialMatrix:
     The matrix acts as e_k -> phases[k] * e_perm[k].  The global phase is
     quotiented out by rescaling so that the phase at the smallest index k
     with perm[k] != k (or index 0 for the identity permutation) equals 1.
+    An empty perm, a perm that is not a bijection, or a phase off the unit
+    circle by more than 1e-12 raises ValueError.
     """
 
     perm: tuple[int, ...]
@@ -160,6 +162,8 @@ class MonomialMatrix:
     def __post_init__(self):
         self.perm = tuple(int(p) for p in self.perm)
         n = len(self.perm)
+        if n < 1:  # as for graphs; the unit-modulus check's max needs an entry
+            raise ValueError("perm is empty: a monomial needs n >= 1")
         if sorted(self.perm) != list(range(n)):
             raise ValueError("perm is not a bijection on 0..n-1")
         ph = np.asarray(self.phases, dtype=complex).copy()

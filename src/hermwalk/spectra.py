@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AlignmentBoundViolated,
     NonRealEigenvalue,
     TraceNotZero,
     WeightsInvalid,
@@ -111,22 +110,28 @@ def eigenvalue_ratio_rationality(
 
 
 def phase_alignment(coefficients, tol: float) -> tuple[bool, float]:
-    """Given positive weights beta_k summing to 1 and angles alpha_k, decide
-    whether |sum beta_k exp(i alpha_k)| is within tol of 1 and report the
-    maximum circular distance between any two angles.
+    """Given positive weights beta_k summing to 1 and finite angles alpha_k,
+    decide whether s = |sum beta_k exp(i alpha_k)| is within tol of 1 and
+    report the maximum circular distance between any two angles.
 
-    When the modulus is that close to 1, the pairwise inequality
-    sum_{j<k} beta_j beta_k (1 - cos(alpha_j - alpha_k)) < tol forces all
-    angles together: the spread is bounded by sqrt(2 tol / min beta_j beta_k).
+    The weighted cosine defect obeys the identity
+    sum_{j<k} beta_j beta_k (1 - cos(alpha_j - alpha_k)) = ((sum beta)^2 - s^2)/2
+    exactly, so s >= 1 - tol bounds it by tol, up to the 1e-12 allowed on
+    the sum of the weights, and forces all angles together: the spread is
+    bounded by sqrt(2 tol / min beta_j beta_k).  tol is checked by
+    linalg.check_tolerance, and a non-finite angle raises ValueError.
     """
+    check_tolerance(tol)
     betas = np.array([float(b) for b, _ in coefficients])
     alphas = np.array([float(a) for _, a in coefficients])
     if len(betas) == 0:
         raise WeightsInvalid("need at least one coefficient")
-    if not np.all(betas > 0):  # both checks are written so that a NaN fails them
+    if not np.all(betas > 0):  # the three checks are written so that a NaN fails them
         raise WeightsInvalid("all weights must be positive")
     if not abs(float(np.sum(betas)) - 1.0) <= 1e-12:
         raise WeightsInvalid("weights must sum to 1 within 1e-12")
+    if not np.all(np.isfinite(alphas)):
+        raise ValueError("angles must be finite")
     s = abs(complex(np.sum(betas * np.exp(1j * alphas))))
     aligned = s >= 1.0 - tol
     spread = 0.0
@@ -134,14 +139,4 @@ def phase_alignment(coefficients, tol: float) -> tuple[bool, float]:
         diff = np.abs(alphas[:, None] - alphas[None, :]) % (2.0 * math.pi)
         circ = np.minimum(diff, 2.0 * math.pi - diff)
         spread = float(np.max(circ))
-    if aligned and len(betas) > 1:
-        # exact consequence of s >= 1 - tol: the weighted cosine defect
-        # sum_{j<k} beta_j beta_k (1 - cos(alpha_j - alpha_k)) = (1 - s^2)/2
-        gap = alphas[:, None] - alphas[None, :]
-        iu = np.triu_indices(len(betas), k=1)
-        defect = float(np.sum(np.outer(betas, betas)[iu] * (1.0 - np.cos(gap[iu]))))
-        if defect > tol + 1e-15:
-            raise AlignmentBoundViolated(
-                f"cosine defect {defect:.3g} exceeds tol {tol:.3g} despite alignment"
-            )
     return aligned, spread

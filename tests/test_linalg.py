@@ -293,3 +293,9 @@ def test_monomial_rejects_non_finite_phases(phases):
     # a NaN phase used to be stored, because the unit-modulus check let it through
     with pytest.raises(ValueError, match="unit modulus"):
         MonomialMatrix((1, 0), phases)
+
+
+def test_empty_monomial_is_refused_with_its_own_message():
+    # it used to fail inside numpy: the unit-modulus check's max of no phases
+    with pytest.raises(ValueError, match="perm is empty"):
+        MonomialMatrix((), [])

@@ -265,3 +265,18 @@ def test_circulant_eigenvalues_reject_bad_weights(weights, message):
     # an empty row used to raise IndexError, and a NaN row returned NaNs
     with pytest.raises(ValueError, match=message):
         circulant_eigenvalues(weights)
+
+
+@pytest.mark.parametrize(
+    "coefficients, tol, message",
+    [
+        ([(0.5, math.nan), (0.5, 0.0)], 1e-3, "angles must be finite"),
+        ([(0.5, 0.0), (0.5, math.inf)], 1e-3, "angles must be finite"),
+        ([(0.5, 0.0), (0.5, 0.0)], math.nan, "tol must be finite"),
+        ([(0.5, 0.0), (0.5, 0.0)], 0.0, "tol must be finite"),
+    ],
+)
+def test_phase_alignment_rejects_non_finite_angles_and_bad_tol(coefficients, tol, message):
+    # a NaN angle used to give (False, nan), and a NaN tol (False, 0.0)
+    with pytest.raises(ValueError, match=message):
+        phase_alignment(coefficients, tol)

@@ -1,0 +1,188 @@
+"""One-line mutants of the verdict thresholds, each against the tests that must kill it.
+
+    python tools/mutants.py
+
+Every row names a file under src/hermwalk, a text that must occur there
+exactly once, its replacement, the tests to run and the expected outcome.
+The tests of the `killed` rows are first run on an unchanged copy of
+src/, where they must pass.  Then each `killed` row copies src/ into a
+temporary directory, applies the replacement there and runs only its
+tests, with `pytest -x -q`, against the copy; the row holds when a test
+fails.  An `equivalent` row carries the reason no input can tell the
+mutant from the original; only its text is checked.  The exit status is 1
+when a `killed` row survives, its tests cannot run, or any row's text is
+missing or ambiguous, and 0 otherwise.  Needs nothing outside the
+repository but numpy, scipy, mpmath and pytest.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+THRESHOLDS = "tests/test_thresholds.py"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    expect: str = "killed"  # or "equivalent", with the reason in `why`
+    why: str = ""
+
+
+MUTANTS = [
+    Mutant(
+        "simplicity-strict",
+        "spectra.py",
+        "return min_gap > relative_tol(gap_tol, sd.eigenvalues), min_gap",
+        "return min_gap >= relative_tol(gap_tol, sd.eigenvalues), min_gap",
+        (f"{THRESHOLDS}::TestSimplicityGap",),
+    ),
+    Mutant(
+        "flat-tol",
+        "spectra.py",
+        "return deviation <= tol, deviation",
+        "return deviation <= 10 * tol, deviation",
+        (f"{THRESHOLDS}::TestFlatness",),
+    ),
+    Mutant(
+        "certificate-zero-differences",
+        "circulant_pst.py",
+        "nonzero = np.flatnonzero(np.abs(mu) > relative_tol(1e-9, lam))",
+        "nonzero = np.flatnonzero(np.abs(mu) > relative_tol(1e-6, lam))",
+        (f"{THRESHOLDS}::TestCertificateZeroDifferences",),
+    ),
+    Mutant(
+        "certificate-gcd",
+        "circulant_pst.py",
+        "    if math.gcd(j, n) != 1:",
+        "    if False:",
+        ("tests/test_circulant_pst.py::TestSpectralCertificate::test_not_coprime",),
+    ),
+    Mutant(
+        "pst-at-time-tol",
+        "transfer.py",
+        "    if f >= 1.0 - tol:",
+        "    if f >= 1.0 - 10 * tol:",
+        (f"{THRESHOLDS}::TestPstCheckAtTime",),
+    ),
+    Mutant(
+        "max-phase",
+        "transfer.py",
+        "_MAX_PHASE = 2.0**32",
+        "_MAX_PHASE = 2.0**34",
+        ("tests/test_transfer.py::TestKroneckerPhaseRange::test_horizon_past_phase_range_refused",),
+    ),
+    Mutant(
+        "hermitian-tol",
+        "linalg.py",
+        "if max_abs(a - a.conj().T) > relative_tol(HERMITIAN_TOL, a):",
+        "if max_abs(a - a.conj().T) > relative_tol(1e3 * HERMITIAN_TOL, a):",
+        (f"{THRESHOLDS}::TestHermitianCheck",),
+    ),
+    Mutant(
+        "unitarity-tol",
+        "linalg.py",
+        "if not max_abs(vec.conj().T @ vec - np.eye(n)) <= _UNITARY_TOL:",
+        "if not max_abs(vec.conj().T @ vec - np.eye(n)) <= 1e6 * _UNITARY_TOL:",
+        (f"{THRESHOLDS}::TestLapackOutputChecks",),
+    ),
+    Mutant(
+        "reconstruction-tol",
+        "linalg.py",
+        "if not max_abs(recon - a) <= relative_tol(_RECONSTRUCTION_TOL, a):",
+        "if not max_abs(recon - a) <= relative_tol(1e6 * _RECONSTRUCTION_TOL, a):",
+        (f"{THRESHOLDS}::TestLapackOutputChecks",),
+    ),
+    Mutant(
+        "swaut-verified-phase-tol",
+        "swaut.py",
+        "if not float(np.max(np.abs(lhs - rhs))) <= phase_tol:",
+        "if not float(np.max(np.abs(lhs - rhs))) <= 1e3 * phase_tol:",
+        (f"{THRESHOLDS}::TestSpectralRoutePhaseCheck",),
+    ),
+    Mutant(
+        "swaut-backtracking-recheck",
+        "swaut.py",
+        "        m = _verified(off_f, off_t[np.ix_(phi, phi)], phi, unit, phase_tol)",
+        "        m = _verified(off_f, off_t[np.ix_(phi, phi)], phi, unit, 1e3 * phase_tol)",
+        (),
+        "equivalent",
+        "fits has already compared every entry d_v A[v,x] with A_phi[v,x] d_x of a "
+        "complete placement within phase_tol, so up to rounding the backtracking "
+        "route's final check only repeats it",
+    ),
+    Mutant(
+        "ratio-tol",
+        "numbertheory.py",
+        "    if abs(x - p / q) <= tol:",
+        "    if abs(x - p / q) <= 10 * tol:",
+        ("tests/test_circulant_pst.py::TestRationalReconstruct::test_golden_ratio_margin",),
+    ),
+    Mutant(
+        "lcm-cap",
+        "numbertheory.py",
+        "_LCM_CAP = 10**7",
+        "_LCM_CAP = 10**8",
+        ("tests/test_numbertheory.py::TestCommensurate::test_lcm_past_the_cap",),
+    ),
+]
+
+
+def occurrences(m: Mutant) -> int:
+    return (REPO / "src" / "hermwalk" / m.file).read_text(encoding="utf-8").count(m.old)
+
+
+def run_tests(tests, mutant: Mutant | None = None) -> int:
+    """pytest's exit code for tests run on a copy of src/, carrying the
+    mutant if one is given: 0 when all pass, 1 when one fails."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(REPO / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        if mutant is not None:
+            path = src / "hermwalk" / mutant.file
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+        return subprocess.run(cmd, cwd=REPO, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    tests = sorted({t for m in MUTANTS if m.expect == "killed" for t in m.tests})
+    if run_tests(tests) != 0:
+        print("FAIL: the rows' tests do not pass on the unchanged source")
+        return 1
+    bad = 0
+    for m in MUTANTS:
+        count = occurrences(m)
+        if count != 1:
+            verdict = f"FAIL (old text occurs {count} times in src/hermwalk/{m.file})"
+        elif m.expect == "equivalent":
+            verdict = f"ok (equivalent: {m.why})"
+        else:
+            code = run_tests(m.tests, m)
+            if code == 1:
+                verdict = "ok (killed)"
+            elif code == 0:
+                verdict = "FAIL (survived " + " ".join(m.tests) + ")"
+            else:
+                verdict = f"FAIL (pytest exit code {code}: the tests did not run)"
+        bad += verdict.startswith("FAIL")
+        print(f"{m.name}: {verdict}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} rows as expected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
