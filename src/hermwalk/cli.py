@@ -112,6 +112,8 @@ def _read_construct(args) -> graph.HermitianGraph:
     count, message, build = _FAMILIES[args.family]
     if len(args.params) != count:
         raise ValueError(message)
+    if args.alphas is not None and args.family != "hadamard":
+        raise ValueError("--alphas applies only to the hadamard family")
     g = build(args)
     graph.save_graph(g, args.out)
     return g
@@ -228,6 +230,10 @@ def _report_analyze(args, g, sd) -> None:
 
 
 def _read_transfer(args) -> graph.HermitianGraph:
+    if args.out is not None and args.mode != "scan":
+        raise ValueError("-o applies only to scan")
+    if args.t is not None and args.mode != "pst-at":
+        raise ValueError("--t applies only to pst-at")
     g = graph.load_graph(args.path)
     if not (0 <= args.a < g.n and 0 <= args.b < g.n):
         raise ValueError(f"vertices must lie in 0..{g.n - 1}")
@@ -277,7 +283,3 @@ def main(argv=None) -> int:
         print(f"{'numerical failure' if numerical else 'error'}: {exc}", file=sys.stderr)
         return 3 if numerical else 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -146,13 +146,6 @@ def _lll_reduce(basis: np.ndarray) -> np.ndarray:
     raise SearchBudgetExhausted(f"search budget of {_LLL_BUDGET} LLL iterations exhausted")
 
 
-def _normalize_sign(a: np.ndarray) -> np.ndarray:
-    for x in a:
-        if x != 0:
-            return a if x > 0 else -a
-    return a
-
-
 def _lattice_relation(xs: np.ndarray, coeff_bound: int, tol: float) -> np.ndarray | None:
     m = len(xs)
     if m == 0:
@@ -173,7 +166,8 @@ def _lattice_relation(xs: np.ndarray, coeff_bound: int, tol: float) -> np.ndarra
             continue
         a = a.astype(int)
         if abs(float(a @ xs)) <= tol:
-            return _normalize_sign(a)
+            # the first nonzero coefficient is made positive; the continue above rules out a = 0
+            return a if a[np.flatnonzero(a)[0]] > 0 else -a
     return None
 
 

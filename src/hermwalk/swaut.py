@@ -103,7 +103,8 @@ def _split_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _verified(a_from: np.ndarray, a_phi: np.ndarray, phi: list[int], unit: list[complex], phase_tol: float):
     """The monomial (phi, unit) when d_u a_from[u,v] == a_phi[u,v] d_v, with
     a_phi = a_to[phi][:, phi], holds within phase_tol at every entry, else
-    None.  The searches pass off-diagonal parts and match diagonals apart."""
+    None.  _spectral_search passes off-diagonal parts and matches diagonals
+    apart."""
     d = np.array(unit)
     lhs = d[:, None] * a_from
     rhs = a_phi * d[None, :]
@@ -124,9 +125,10 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     only go to an unused neighbour w of phi(u), and its phase is fixed from
     the parent as raw[v] = raw[u] * a_from[u, v] / a_to[phi(u), w].  A
     placement is kept only if it agrees with every vertex already placed in
-    zero pattern, magnitude and phase, and every entry of the defining
-    identity is verified before a complete map is accepted.  Nothing is
-    searched unless the rows of the two matrices pair up one to one.
+    zero pattern, magnitude and phase, so fits compares every entry of the
+    defining identity as vertices are placed and a complete map needs no
+    further check.  Nothing is searched unless the rows of the two matrices
+    pair up one to one.
     The magnitude tolerance _WEIGHT_TOL and phase_tol are relative to the
     largest off-diagonal |A_uv| of the two matrices, and a vertex only goes
     to a target whose diagonal entry is within _WEIGHT_TOL of max|A_uv|.
@@ -167,16 +169,11 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
                 return False
         return True
 
-    def accept() -> bool:
-        m = _verified(off_f, off_t[np.ix_(phi, phi)], phi, unit, phase_tol)
-        if m is not None:
-            results.append(m)
-        return m is not None
-
     def backtrack(depth: int) -> bool:
         nonlocal placements
         if depth == n:
-            return accept() and not find_all
+            results.append(MonomialMatrix(tuple(phi), np.array(unit)))
+            return not find_all
         v = order[depth]
         u = parent.get(v)
         for w in range(n) if u is None else nbrs_to[phi[u]]:

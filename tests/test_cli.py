@@ -1,4 +1,6 @@
 import math
+import runpy
+import sys
 import time
 
 import numpy as np
@@ -515,3 +517,38 @@ def test_transfer_past_phase_range_still_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "transfer", path, "0", "1", "pst-at", "--t", "3")
     assert (code, out) == (2, "")
     assert err == "error: t * max|lambda| exceeds 2**32, where float64 phases lose about 5e-7 rad\n"
+
+
+# options that only one family or mode reads, given where nothing reads them
+_UNREAD_OPTIONS = {
+    "construct-cp-alphas": (
+        ["construct", "cp", "5", "--alphas", "1,2", "-o", "{out}"], "--alphas applies only to the hadamard family"
+    ),
+    "transfer-pgst-out": (["transfer", "{graph}", "0", "1", "pgst", "-o", "{out}"], "-o applies only to scan"),
+    "transfer-pst-at-out": (
+        ["transfer", "{graph}", "0", "1", "pst-at", "--t", "1", "-o", "{out}"], "-o applies only to scan"
+    ),
+    "transfer-pgst-t": (["transfer", "{graph}", "0", "1", "pgst", "--t", "1"], "--t applies only to pst-at"),
+    "transfer-scan-t": (
+        ["transfer", "{graph}", "0", "1", "scan", "--t", "1", "-o", "{out}"], "--t applies only to pst-at"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", _UNREAD_OPTIONS.values(), ids=list(_UNREAD_OPTIONS))
+def test_option_the_command_does_not_read_exit_2(c3_file, tmp_path, capsys, argv, message):
+    out_path = tmp_path / "out"
+    code, out, err = run(capsys, *(a.format(graph=c3_file, out=out_path) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
+
+
+def test_python_dash_m_hermwalk_exits_with_main_code(tmp_path, capsys, monkeypatch):
+    # `python -m hermwalk` runs hermwalk/__main__.py, which exits with main's return code
+    path = tmp_path / "k4.hg"
+    monkeypatch.setattr(sys, "argv", ["hermwalk", "construct", "k4", "-o", str(path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("hermwalk", run_name="__main__", alter_sys=True)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith(f"wrote {path}: n=4\n")
+    assert np.array_equal(load_graph(str(path)).adjacency, construct_k4().adjacency)

@@ -3,16 +3,14 @@
     python tools/mutants.py
 
 Every row names a file under src/hermwalk, a text that must occur there
-exactly once, its replacement, the tests to run and the expected outcome.
-The tests of the `killed` rows are first run on an unchanged copy of
-src/, where they must pass.  Then each `killed` row copies src/ into a
-temporary directory, applies the replacement there and runs only its
-tests, with `pytest -x -q`, against the copy; the row holds when a test
-fails.  An `equivalent` row carries the reason no input can tell the
-mutant from the original; only its text is checked.  The exit status is 1
-when a `killed` row survives, its tests cannot run, or any row's text is
-missing or ambiguous, and 0 otherwise.  Needs nothing outside the
-repository but numpy, scipy, mpmath and pytest.
+exactly once, its replacement and the tests that must kill it.  The rows'
+tests are first run on an unchanged copy of src/, where they must pass.
+Then each row copies src/ into a temporary directory, applies the
+replacement there and runs only its tests, with `pytest -x -q`, against
+the copy; the row holds when a test fails.  The exit status is 1 when a
+row survives, its tests cannot run, or its text is missing or ambiguous,
+and 0 otherwise.  Needs nothing outside the repository but numpy, scipy,
+mpmath and pytest.
 """
 
 from __future__ import annotations
@@ -36,8 +34,6 @@ class Mutant:
     old: str
     new: str
     tests: tuple[str, ...]
-    expect: str = "killed"  # or "equivalent", with the reason in `why`
-    why: str = ""
 
 
 MUTANTS = [
@@ -112,17 +108,6 @@ MUTANTS = [
         (f"{THRESHOLDS}::TestSpectralRoutePhaseCheck",),
     ),
     Mutant(
-        "swaut-backtracking-recheck",
-        "swaut.py",
-        "        m = _verified(off_f, off_t[np.ix_(phi, phi)], phi, unit, phase_tol)",
-        "        m = _verified(off_f, off_t[np.ix_(phi, phi)], phi, unit, 1e3 * phase_tol)",
-        (),
-        "equivalent",
-        "fits has already compared every entry d_v A[v,x] with A_phi[v,x] d_x of a "
-        "complete placement within phase_tol, so up to rounding the backtracking "
-        "route's final check only repeats it",
-    ),
-    Mutant(
         "ratio-tol",
         "numbertheory.py",
         "    if abs(x - p / q) <= tol:",
@@ -159,7 +144,7 @@ def run_tests(tests, mutant: Mutant | None = None) -> int:
 
 
 def main() -> int:
-    tests = sorted({t for m in MUTANTS if m.expect == "killed" for t in m.tests})
+    tests = sorted({t for m in MUTANTS for t in m.tests})
     if run_tests(tests) != 0:
         print("FAIL: the rows' tests do not pass on the unchanged source")
         return 1
@@ -168,8 +153,6 @@ def main() -> int:
         count = occurrences(m)
         if count != 1:
             verdict = f"FAIL (old text occurs {count} times in src/hermwalk/{m.file})"
-        elif m.expect == "equivalent":
-            verdict = f"ok (equivalent: {m.why})"
         else:
             code = run_tests(m.tests, m)
             if code == 1:
@@ -180,7 +163,7 @@ def main() -> int:
                 verdict = f"FAIL (pytest exit code {code}: the tests did not run)"
         bad += verdict.startswith("FAIL")
         print(f"{m.name}: {verdict}", flush=True)
-    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} rows as expected")
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} rows killed")
     return 1 if bad else 0
 
 
