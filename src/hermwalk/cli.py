@@ -64,12 +64,12 @@ def _build_parser() -> argparse.ArgumentParser:
     tra.add_argument("a", type=int, help="source vertex")
     tra.add_argument("b", type=int, help="target vertex")
     tra.add_argument("mode", choices=["scan", "pgst", "pst-at"])
-    tra.add_argument("--t", type=float, default=None, help="time to test (pst-at)")
-    tra.add_argument("--tol", type=float, default=1e-9, help="fidelity slack for pst-at")
-    tra.add_argument("--target", type=float, default=0.999, help="target fidelity (pgst)")
-    tra.add_argument("--tmax", type=float, default=1e4, help="search/scan horizon")
-    tra.add_argument("--samples", type=int, default=1000, help="scan sample count")
-    tra.add_argument("-o", "--out", default=None, help="CSV output path (scan)")
+    tra.add_argument("--t", type=float, help="time to test (pst-at, required)")
+    tra.add_argument("--tol", type=float, help="fidelity slack (pst-at, default 1e-9)")
+    tra.add_argument("--target", type=float, help="target fidelity (pgst, default 0.999)")
+    tra.add_argument("--tmax", type=float, help="search/scan horizon (scan and pgst, default 1e4)")
+    tra.add_argument("--samples", type=int, help="sample count (scan, default 1000)")
+    tra.add_argument("-o", "--out", help="CSV output path (scan, default stdout)")
     tra.set_defaults(phases=(_read_transfer, _report_transfer))
     return parser
 
@@ -229,11 +229,25 @@ def _report_analyze(args, g, sd) -> None:
         print(f"upst: NoCertificate ({upst.failure.reason.value}: {upst.failure.detail})")
 
 
+# transfer option -> (its flag, the modes that read it, its default), in the order they are checked
+_TRANSFER_OPTIONS = {
+    "out": ("-o", ("scan",), None),
+    "t": ("--t", ("pst-at",), None),
+    "tol": ("--tol", ("pst-at",), 1e-9),
+    "target": ("--target", ("pgst",), 0.999),
+    "tmax": ("--tmax", ("scan", "pgst"), 1e4),
+    "samples": ("--samples", ("scan",), 1000),
+}
+
+
 def _read_transfer(args) -> graph.HermitianGraph:
-    if args.out is not None and args.mode != "scan":
-        raise ValueError("-o applies only to scan")
-    if args.t is not None and args.mode != "pst-at":
-        raise ValueError("--t applies only to pst-at")
+    """Refuse an option the mode does not read and fill in the defaults of
+    those not given, then load."""
+    for name, (flag, modes, default) in _TRANSFER_OPTIONS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.mode not in modes:
+            raise ValueError(f"{flag} applies only to {' and '.join(modes)}")
     g = graph.load_graph(args.path)
     if not (0 <= args.a < g.n and 0 <= args.b < g.n):
         raise ValueError(f"vertices must lie in 0..{g.n - 1}")
@@ -246,7 +260,7 @@ def _report_transfer(args, g, sd) -> None:
     if args.mode == "scan":
         # the CSV is written block by block as the scan produces it
         blocks = transfer._scan_blocks(sd, args.a, args.b, args.tmax, args.samples)
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(transfer._csv_texts(blocks))
             print(f"wrote {args.out}: {args.samples} samples over [0, {args.tmax:g}]")

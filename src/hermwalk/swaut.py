@@ -114,7 +114,7 @@ def _verified(a_from: np.ndarray, a_phi: np.ndarray, phi: list[int], unit: list[
     return MonomialMatrix(tuple(phi), d)
 
 
-def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, find_all: bool):
+def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, find_all: bool):
     """Backtracking search for monomials M with M @ a_from = a_to @ M.
 
     For a_from == a_to these are the switching automorphisms; for two
@@ -129,15 +129,15 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     defining identity as vertices are placed and a complete map needs no
     further check.  Nothing is searched unless the rows of the two matrices
     pair up one to one.
-    The magnitude tolerance _WEIGHT_TOL and phase_tol are relative to the
-    largest off-diagonal |A_uv| of the two matrices, and a vertex only goes
+    Magnitudes and phases are compared within _WEIGHT_TOL of the largest
+    off-diagonal |A_uv| of the two matrices, and a vertex only goes
     to a target whose diagonal entry is within _WEIGHT_TOL of max|A_uv|.
     Deterministic: targets are tried in ascending order.  More than
     _PLACEMENT_BUDGET placements raise SearchBudgetExhausted.
     """
     n = a_from.shape[0]
     (off_f, diag_f), (off_t, diag_t) = map(_split_diagonal, (a_from, a_to))
-    mag_tol, phase_tol = (relative_tol(tol, (off_f, off_t)) for tol in (_WEIGHT_TOL, phase_tol))
+    mag_tol = phase_tol = relative_tol(_WEIGHT_TOL, (off_f, off_t))
     # a vertex can only go to a target with the same diagonal entry and sorted row magnitudes
     mags_f, mags_t = (np.sort(np.abs(a), axis=1) for a in (off_f, off_t))
     alike = (np.abs(diag_f[:, None] - diag_t) <= relative_tol(_WEIGHT_TOL, (a_from, a_to))) & np.all(
@@ -198,9 +198,7 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, phase_tol: float, fin
     return results
 
 
-def _spectral_search(
-    adj: np.ndarray, sd: SpectralDecomposition, tree: list[tuple[int, int]], phase_tol: float
-):
+def _spectral_search(adj: np.ndarray, sd: SpectralDecomposition, tree: list[tuple[int, int]]):
     """The monomials commuting with adj, read off a simple spectrum, or None
     when the spectrum does not pin them down; tree is adj's BFS spanning tree.
 
@@ -231,7 +229,7 @@ def _spectral_search(
     mapped = off[perms[:, :, None], perms[:, None, :]]  # mapped[w] = off[phi_w][:, phi_w]
     # what the search tests before placing, on the same scales: the diagonal
     # entries, and the off-diagonal zero pattern and magnitudes
-    mag_tol, phase_tol = (relative_tol(tol, off) for tol in (_WEIGHT_TOL, phase_tol))
+    mag_tol = phase_tol = relative_tol(_WEIGHT_TOL, off)
     placeable = ~np.any((off == 0) != (mapped == 0), axis=(1, 2)) & (
         np.max(np.abs(np.abs(off) - np.abs(mapped)), axis=(1, 2)) <= mag_tol
     ) & (np.max(np.abs(diag[perms] - diag), axis=1) <= relative_tol(_WEIGHT_TOL, adj))
@@ -273,9 +271,9 @@ def enumerate_switching_automorphisms(g, *, sd: SpectralDecomposition | None = N
         raise DisconnectedSupport("support graph has more than one component")
     if sd is None:
         sd = hermitian_eigendecomposition(adj)
-    elements = _spectral_search(adj, sd, tree, _WEIGHT_TOL)
+    elements = _spectral_search(adj, sd, tree)
     if elements is None:
-        elements = _monomial_search(adj, adj, _WEIGHT_TOL, find_all=True)
+        elements = _monomial_search(adj, adj, find_all=True)
     elements.sort(key=lambda m: m.perm)
     order = len(elements)
     # Connected support makes the group faithful on permutations: two elements
@@ -311,7 +309,7 @@ def is_switching_isomorphic(g1, g2) -> MonomialMatrix | None:
     n = a1.shape[0]
     if len(_spanning_tree_order(a1)) < n - 1 or len(_spanning_tree_order(a2)) < n - 1:
         raise DisconnectedSupport("support graphs must be connected")
-    found = _monomial_search(a2, a1, _WEIGHT_TOL, find_all=False)
+    found = _monomial_search(a2, a1, find_all=False)
     return found[0] if found else None
 
 

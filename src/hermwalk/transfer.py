@@ -15,7 +15,8 @@ Periodicity starts that search where the walk leaves the identity, found
 on the finer Lipschitz grid 0.1/rho_c.
 
 The searches and the fidelity scan evaluate their grids by one factorized
-phase kernel.  Grid index k is written k = k0 + r with 0 <= r < _ROW, so that
+phase kernel, owned by _Grid, on one coefficient vector of shape (d,) at a
+time.  Grid index k is written k = k0 + r with 0 <= r < _ROW, so that
 exp(-i k h lambda) = exp(-i k0 h lambda) exp(-i r h lambda): the phases at
 the row starts k0 are computed directly (no recurrence, so no accumulated
 rounding), the inner table exp(-i r h lambda) times the coefficients is the
@@ -35,9 +36,10 @@ the inner table, and the row-start blocks of the chunks scanned so far,
 kept while all of it stays within _CHUNK_BYTES (later blocks are computed
 and dropped).  A search then builds only its pair's products: the inner
 table times the coefficients, one matrix product per chunk, and the polish.
-The fidelity scan, whose step is the caller's, and the periodicity walk use
-a grid that is not kept.  Times, horizons and scan ends
-must keep t * max|lambda| within _MAX_PHASE.  The Kronecker search walks its
+The fidelity scan, whose step is the caller's, and the periodicity walk
+each build a _Grid per call that keeps no blocks.  Times, horizons and scan
+ends must keep t * max|lambda| within _MAX_PHASE, and a horizon must be
+positive and finite (_check_horizon).  The Kronecker search walks its
 own grid of mod-2*pi phase distances, sharing only the chunks and _GRID_CAP.
 
 The scan's CSV is produced in the same chunks, as blocks whose formatting
@@ -179,20 +181,20 @@ def _grid_chunks(count: int, point_bytes: int, first: int = 0):
 
 
 class _Grid:
-    """The coefficient-independent half of the phase kernel on the grid
-    k * step: the spectrum lam, the row length (_ROW, or less when the
-    d x row*columns table for a (d, columns) coefficient block would exceed
-    _CHUNK_BYTES), the inner table exp(-i r step lam) for 0 <= r < row, and
-    the temporary bytes per grid point.  blocks is None here; a grid that
-    keeps its row-start phase blocks sets it to a dict by chunk start, which
-    grows while the grid's nbytes stays within _CHUNK_BYTES."""
+    """The factorized phase kernel on the grid k * step; nothing else
+    evaluates it.  It holds the spectrum lam, the row length (_ROW, or less
+    when the d x row inner table would exceed _CHUNK_BYTES), the inner
+    table exp(-i r step lam) for 0 <= r < row, and point_bytes, the
+    temporary bytes per grid point of its amplitudes.  blocks is None here;
+    a grid that keeps its row-start phase blocks sets it to a dict by chunk
+    start, which grows while the grid's nbytes stays within _CHUNK_BYTES."""
 
-    def __init__(self, lam: np.ndarray, step: float, columns: int = 1):
+    def __init__(self, lam: np.ndarray, step: float):
         d = len(lam)
         self.lam, self.step = lam, step
-        self.row = max(1, min(_ROW, _CHUNK_BYTES // (16 * d * columns)))
+        self.row = max(1, min(_ROW, _CHUNK_BYTES // (16 * d)))
         self.inner = np.exp(-1j * step * np.outer(lam, np.arange(self.row)))
-        self.point_bytes = 16 * max(columns, -(-d // self.row))
+        self.point_bytes = 16 * -(-d // self.row)
         self.blocks = None
 
     def row_starts(self, start: int, rows: int) -> np.ndarray:
@@ -207,6 +209,18 @@ class _Grid:
                 self.blocks[start] = block
                 self.nbytes += block.nbytes
         return block
+
+    def amplitudes(self, coeffs: np.ndarray):
+        """amplitudes(start, stop), the (stop - start,) array |exp(-i k step
+        lam) @ coeffs| for grid indices k in [start, stop), for coeffs of
+        shape (d,).  Only the product p_in = inner * coeffs is built here."""
+        row, p_in = self.row, self.inner * coeffs[:, None]
+
+        def amplitudes(start: int, stop: int) -> np.ndarray:
+            rows = -(-(stop - start) // row)
+            return np.abs(self.row_starts(start, rows) @ p_in).ravel()[: stop - start]
+
+        return amplitudes
 
 
 class _PeakGrid(_Grid):
@@ -240,35 +254,8 @@ def _spectrum_grid(sd: SpectralDecomposition) -> _PeakGrid:
     return grid
 
 
-def _phase_kernel(grid, coeffs: np.ndarray, step: float):
-    """Grid amplitudes |exp(-i k step lam) @ coeffs| by the factorized kernel.
-
-    grid is a _Grid of this step, or the eigenvalues lam, on which a _Grid
-    that keeps no blocks is made.  coeffs has shape (d,)
-    or (d, m), (d,) for a grid made with one column.  Returns (amplitudes,
-    point_bytes): amplitudes(start, stop) is the (stop - start,) or
-    (stop - start, m) array for grid indices k in [start, stop), and
-    point_bytes the temporary memory per grid point.  Only the product
-    p_in = inner * coeffs is built here.
-    """
-    columns = coeffs.shape[1:]
-    m = math.prod(columns)
-    if not isinstance(grid, _Grid):
-        grid = _Grid(grid, step, m)
-    d, row = len(grid.lam), grid.row
-    p_in = (grid.inner[:, :, None] * coeffs.reshape(d, 1, m)).reshape(d, row * m)
-
-    def amplitudes(start: int, stop: int) -> np.ndarray:
-        rows = -(-(stop - start) // row)
-        p_out = grid.row_starts(start, rows)
-        return np.abs(p_out @ p_in).reshape((rows * row, *columns))[: stop - start]
-
-    return amplitudes, grid.point_bytes
-
-
 def _amplitude_at(lam: np.ndarray, coeffs: np.ndarray, t: float) -> np.ndarray:
-    """|exp(-i t lam) @ coeffs| at one time: a scalar for coeffs of shape
-    (d,), one value per column for shape (d, m)."""
+    """|exp(-i t lam) @ coeffs| at one time, for coeffs of shape (d,)."""
     return np.abs(np.exp(-1j * t * lam) @ coeffs)
 
 
@@ -280,6 +267,14 @@ def _check_phase_range(lam: np.ndarray, t: float, name: str) -> None:
         raise PhaseRangeExceeded(
             f"{name} * max|lambda| exceeds 2**32, where float64 phases lose about 5e-7 rad"
         )
+
+
+def _check_horizon(lam: np.ndarray, t_max: float) -> None:
+    """Raise ValueError unless 0 < t_max < inf, then check t_max as
+    _check_phase_range does."""
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
+    _check_phase_range(lam, t_max, "t_max")
 
 
 def fidelity(sd: SpectralDecomposition, a: int, b: int, t: float) -> float:
@@ -303,16 +298,15 @@ def _scan_blocks(sd: SpectralDecomposition, a: int, b: int, t_max: float, sample
     """
     if not 2 <= samples <= _GRID_CAP:
         raise ValueError(f"samples must lie in 2..{_GRID_CAP}")
-    if not 0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
-    _check_phase_range(sd.eigenvalues, t_max, "t_max")
+    _check_horizon(sd.eigenvalues, t_max)
     a = _check_vertex(sd, a)
     b = _check_vertex(sd, b)
     step = t_max / (samples - 1)
-    amplitudes, point_bytes = _phase_kernel(sd.eigenvalues, _pair_coefficients(sd, a, b), step)
+    grid = _Grid(sd.eigenvalues, step)
+    amplitudes = grid.amplitudes(_pair_coefficients(sd, a, b))
 
     def blocks():
-        for start, stop in _grid_chunks(samples, max(point_bytes, _CSV_ROW_BYTES)):
+        for start, stop in _grid_chunks(samples, max(grid.point_bytes, _CSV_ROW_BYTES)):
             ts = np.arange(start, stop) * step
             block = np.column_stack([ts, amplitudes(start, stop)])
             if stop == samples:
@@ -554,20 +548,19 @@ def _pgst_grid(lam: np.ndarray) -> tuple[float, float]:
 
 
 def _peak_search(
-    grid: _PeakGrid | np.ndarray, coeffs: np.ndarray, t_max: float, level: float,
+    grid: _PeakGrid, coeffs: np.ndarray, t_max: float, level: float,
     t_min: float = -math.inf, t_first: float = 0.0,
 ) -> tuple[float, float, bool]:
     """Earliest time t > t_min in [t_first, t_max] with
     |s(t)| = |exp(-i t lam) @ coeffs| >= level, for sum|coeffs| <= 1 and
     lam ascending, of nonzero width.
 
-    grid is the spectrum's _PeakGrid, or lam itself, for which one is made:
-    lam is centred on its midpoint, which leaves |s| unchanged, and the grid
-    and its margin M come from _pgst_grid.  Since |s''| <= rho_c**2 for the
-    centred spectrum (Cauchy-Schwarz) and |s| is flat at an interior
-    maximum, every time within a step of an interior peak at or above level
-    has |s| at least level - M, so the grid cannot jump over a qualifying
-    peak.  That bound does not hold at the horizon, so t_max itself is
+    grid is the spectrum's _PeakGrid: lam is centred on its midpoint, which
+    leaves |s| unchanged, and the grid and its margin M come from
+    _pgst_grid.  Since |s''| <= rho_c**2 for the centred spectrum
+    (Cauchy-Schwarz) and |s| is flat at an interior maximum, every time
+    within a step of an interior peak at or above level has |s| at least
+    level - M, so the grid cannot jump over a qualifying peak.  That bound does not hold at the horizon, so t_max itself is
     sampled as the grid's last point.  The grid starts at its last point at
     or before t_first.  Grid local maxima at or above level - M are
     polished, earliest first, by _newton_max on the window of one grid step
@@ -582,11 +575,9 @@ def _peak_search(
     for the highest of the best grid point (t_max included), its polish and
     every other polish that ended after t_min.
     """
-    if not isinstance(grid, _PeakGrid):
-        grid = _PeakGrid(grid)
     lam, step = grid.lam, grid.step
     threshold = level - grid.margin
-    amplitudes, point_bytes = _phase_kernel(grid, coeffs, step)
+    amplitudes = grid.amplitudes(coeffs)
     derivs = grid.factors * coeffs[:, None]
     peak_t, peak_f = t_first, -math.inf  # the highest polish after t_min
 
@@ -602,7 +593,7 @@ def _peak_search(
     first = math.floor(t_first / step)
     best_t, best_f = first * step, -math.inf
     prev_tail = -math.inf  # the left neighbour of a chunk's first point
-    for start, stop in _grid_chunks(_grid_count(t_max, step), point_bytes, first):
+    for start, stop in _grid_chunks(_grid_count(t_max, step), grid.point_bytes, first):
         # one-point lookahead, so a chunk's last point has its right neighbour
         vals = amplitudes(start, stop + 1)
         block = vals[: stop - start]
@@ -641,9 +632,7 @@ def pgst_search(
     """
     if not 0.0 < target_fidelity < 1.0:
         raise ValueError("target_fidelity must lie in (0, 1)")
-    if not 0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
-    _check_phase_range(sd.eigenvalues, t_max, "t_max")
+    _check_horizon(sd.eigenvalues, t_max)
     a = _check_vertex(sd, a)
     b = _check_vertex(sd, b)
     lam = sd.eigenvalues
@@ -710,9 +699,7 @@ def periodicity_search(
     is at most tol, and None when that lies past t_max.  t_max *
     max|lambda| must not exceed _MAX_PHASE.
     """
-    if not 0 < t_max < math.inf:
-        raise ValueError("t_max must be positive and finite")
-    _check_phase_range(sd.eigenvalues, t_max, "t_max")
+    _check_horizon(sd.eigenvalues, t_max)
     check_tolerance(tol, upper=1.0)
     level = 1.0 - tol
     step = _lipschitz_step(0.0)
@@ -720,8 +707,9 @@ def periodicity_search(
         grid = _spectrum_grid(sd)
         coeffs = np.full(sd.n, 1.0 / sd.n)
         step = _lipschitz_step(0.5 * float(grid.lam[-1] - grid.lam[0]))
-        amplitudes, point_bytes = _phase_kernel(grid.lam, coeffs, step)  # its own step: a grid not kept
-        for start, stop in _grid_chunks(_grid_count(t_max, step), point_bytes):
+        walk = _Grid(grid.lam, step)  # its own step: a grid that keeps no blocks
+        amplitudes = walk.amplitudes(coeffs)
+        for start, stop in _grid_chunks(_grid_count(t_max, step), walk.point_bytes):
             below = np.flatnonzero(amplitudes(start, stop) < level)
             if len(below):
                 t_exit = (start + int(below[0])) * step

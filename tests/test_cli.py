@@ -275,6 +275,12 @@ class TestTransfer:
         assert code == 2
         assert err.startswith("error:") and out == ""
 
+    def test_scan_empty_output_path_exit_2(self, c3_file, capsys):
+        # "" names no file; it does not mean stdout
+        code, out, err = run(capsys, "transfer", c3_file, "0", "1", "scan", "--samples", "3", "-o", "")
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
     def test_non_utf8_graph_file_exit_2(self, tmp_path, capsys):
         path = str(tmp_path / "latin1.hg")
         with open(path, "wb") as fh:
@@ -531,6 +537,21 @@ _UNREAD_OPTIONS = {
     "transfer-pgst-t": (["transfer", "{graph}", "0", "1", "pgst", "--t", "1"], "--t applies only to pst-at"),
     "transfer-scan-t": (
         ["transfer", "{graph}", "0", "1", "scan", "--t", "1", "-o", "{out}"], "--t applies only to pst-at"
+    ),
+    "transfer-pgst-samples": (
+        ["transfer", "{graph}", "0", "1", "pgst", "--samples", "5"], "--samples applies only to scan"
+    ),
+    "transfer-pgst-tol": (["transfer", "{graph}", "0", "1", "pgst", "--tol", "1"], "--tol applies only to pst-at"),
+    "transfer-pst-at-target": (
+        ["transfer", "{graph}", "0", "1", "pst-at", "--t", "1", "--target", "0.5"], "--target applies only to pgst"
+    ),
+    "transfer-pst-at-tmax": (
+        ["transfer", "{graph}", "0", "1", "pst-at", "--t", "1", "--tmax", "7"],
+        "--tmax applies only to scan and pgst",
+    ),
+    "transfer-scan-target": (
+        ["transfer", "{graph}", "0", "1", "scan", "--target", "0.5", "-o", "{out}"],
+        "--target applies only to pgst",
     ),
 }
 

@@ -62,7 +62,7 @@ def test_small_eigenvector_entries_send_the_group_search_to_backtracking():
     assert np.min(np.diff(sd.eigenvalues)) > 0.9
     assert np.max(np.min(np.abs(sd.eigenvectors), axis=1)) < 1e-4
     tree = swaut._spanning_tree_order(g.adjacency)
-    assert swaut._spectral_search(g.adjacency, sd, tree, swaut._WEIGHT_TOL) is None
+    assert swaut._spectral_search(g.adjacency, sd, tree) is None
     group = enumerate_switching_automorphisms(g, sd=sd)
     assert group.order == 1 and group.elements[0].is_identity_class()
 

@@ -179,7 +179,7 @@ class TestCliScan:
         def refuse(*args, **kwargs):
             raise AssertionError("the scan was started")
 
-        monkeypatch.setattr(transfer, "_phase_kernel", refuse)
+        monkeypatch.setattr(transfer, "_Grid", refuse)
         monkeypatch.setattr(transfer, "_grid_chunks", refuse)
         out_csv = tmp_path / "x.csv"
         code, out, err = run(

@@ -447,7 +447,7 @@ SPECTRAL_ROUTE_GRAPHS = (
 
 def spectral_route(adj, sd=None):
     sd = hermitian_eigendecomposition(adj) if sd is None else sd
-    return swaut._spectral_search(adj, sd, swaut._spanning_tree_order(adj), 1e-9)
+    return swaut._spectral_search(adj, sd, swaut._spanning_tree_order(adj))
 
 
 class TestSpectralRoute:
@@ -460,7 +460,7 @@ class TestSpectralRoute:
         sd = hermitian_eigendecomposition(adj)
         spectral = spectral_route(adj, sd)
         assert spectral is not None, "the spectral route must be taken"
-        searched = swaut._monomial_search(adj, adj, 1e-9, find_all=True)
+        searched = swaut._monomial_search(adj, adj, find_all=True)
         key = lambda m: m.perm  # noqa: E731
         assert [m.perm for m in sorted(spectral, key=key)] == [m.perm for m in sorted(searched, key=key)]
         for got, want in zip(sorted(spectral, key=key), sorted(searched, key=key)):
@@ -488,7 +488,7 @@ class TestSpectralRoute:
         assert spectral_route(adj) is None
         group = enumerate_switching_automorphisms(g)
         assert [m.perm for m in group.elements] == sorted(
-            m.perm for m in swaut._monomial_search(adj, adj, 1e-9, find_all=True)
+            m.perm for m in swaut._monomial_search(adj, adj, find_all=True)
         )
 
     def test_p3_zero_entries_still_give_the_reflection(self):

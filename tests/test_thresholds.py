@@ -22,9 +22,12 @@ from hermwalk import (
     construct_cp,
     eigenvalue_simplicity,
     enumerate_switching_automorphisms,
+    fidelity_scan,
     flat_eigenbasis_check,
     from_entries,
     hermitian_eigendecomposition,
+    periodicity_search,
+    pgst_search,
     phase_alignment,
     pst_check_at_time,
     pst_spectral_certificate,
@@ -181,6 +184,40 @@ class TestSpectralRoutePhaseCheck:
 
     def test_phase_off_by_1e_10_keeps_the_symmetry(self, monkeypatch):
         assert self.group_order(1e-10, monkeypatch) == 2
+
+
+class TestHorizon:
+    """The searches and the scan take a horizon 0 < t_max < inf: 0 and -1
+    are refused, and the smallest positive double is a horizon."""
+
+    SEARCHES = {
+        "pgst": lambda sd, t_max: pgst_search(sd, 0, 1, 0.9, t_max),
+        "periodicity": lambda sd, t_max: periodicity_search(sd, t_max),
+        "scan": lambda sd, t_max: fidelity_scan(sd, 0, 1, t_max, 2),
+    }
+    T_MAX = 5e-324
+
+    @pytest.fixture(scope="class")
+    def sd(self):
+        return hermitian_eigendecomposition(construct_cp(3).adjacency)
+
+    @pytest.mark.parametrize("t_max", [0.0, -1.0])
+    @pytest.mark.parametrize("search", SEARCHES.values(), ids=list(SEARCHES))
+    def test_nonpositive_horizon_is_refused(self, sd, search, t_max):
+        with pytest.raises(ValueError, match="t_max must be positive and finite"):
+            search(sd, t_max)
+
+    def test_pgst_takes_the_smallest_horizon(self, sd):
+        report = pgst_search(sd, 0, 1, 0.9, self.T_MAX)
+        assert report.kind is TransferKind.NOT_FOUND
+        assert 0.0 <= report.time <= self.T_MAX
+
+    def test_periodicity_takes_the_smallest_horizon(self, sd):
+        # the walk has not left the identity, and its Lipschitz step lies past t_max
+        assert periodicity_search(sd, self.T_MAX) is None
+
+    def test_scan_takes_the_smallest_horizon(self, sd):
+        assert fidelity_scan(sd, 0, 1, self.T_MAX, 2)[:, 0].tolist() == [0.0, self.T_MAX]
 
 
 def near_upst_spectra(seed, count):

@@ -461,23 +461,21 @@ class TestPhaseKernel:
     @pytest.mark.parametrize("n", range(3, 13))
     @pytest.mark.parametrize("table_bytes", [transfer._CHUNK_BYTES, 16 * 12 * 12 * 5])
     def test_matches_direct_evaluation(self, rng, monkeypatch, n, table_bytes):
-        # the small byte budget shortens the rows of the m = n table
+        # the small byte budget shortens the rows at n = 12 (row 60)
         monkeypatch.setattr(transfer, "_CHUNK_BYTES", table_bytes)
         sd = hermitian_eigendecomposition(random_hermitian(rng, n, scale=3.0))
         lam = sd.eigenvalues
         step = 0.1 / float(np.max(np.abs(lam)))
         single = transfer._pair_coefficients(sd, 0, n - 1)
-        columns = (np.abs(sd.eigenvectors) ** 2).T
         # ranges that are not multiples of the row length or of a chunk
         for start, stop in [(0, 1), (0, 1000), (37, 1100), (4095, 9001)]:
             ts = np.arange(start, stop) * step
             phases = np.exp(-1j * np.outer(ts, lam))
-            for coeffs in (single, columns):
-                amplitudes, _ = transfer._phase_kernel(lam, coeffs, step)
-                got = amplitudes(start, stop)
-                direct = np.abs(phases @ coeffs)
-                assert got.shape == direct.shape
-                assert float(np.max(np.abs(got - direct))) <= 1e-10
+            amplitudes = transfer._Grid(lam, step).amplitudes(single)
+            got = amplitudes(start, stop)
+            direct = np.abs(phases @ single)
+            assert got.shape == direct.shape
+            assert float(np.max(np.abs(got - direct))) <= 1e-10
 
     @pytest.mark.parametrize(
         "point_bytes", [16, 16 * 64, transfer._CHUNK_BYTES // 100], ids=["m1", "m64", "row-chunks"]
@@ -496,13 +494,12 @@ class TestPhaseKernel:
             return t0, -math.inf  # reject every peak
 
         monkeypatch.setattr(transfer, "_pgst_grid", lambda lam: (step, 0.0))
-        monkeypatch.setattr(
-            transfer, "_phase_kernel",
-            lambda lam, coeffs, h: (lambda start, stop: vals[start:stop], point_bytes),
-        )
+        peak_grid = transfer._PeakGrid(np.array([0.0, 1.0]))
+        peak_grid.amplitudes = lambda coeffs: (lambda start, stop: vals[start:stop])
+        peak_grid.point_bytes = point_bytes
         monkeypatch.setattr(transfer, "_amplitude_at", lambda lam, coeffs, t: end)
         monkeypatch.setattr(transfer, "_newton_max", newton)
-        result = transfer._peak_search(np.array([0.0, 1.0]), np.array([0.5, 0.5]), t_max, level)
+        result = transfer._peak_search(peak_grid, np.array([0.5, 0.5]), t_max, level)
 
         def window(t_center, t_seed):
             lo, hi = max(0.0, t_center - step), min(t_max, t_center + step)

@@ -73,6 +73,13 @@ MUTANTS = [
         (f"{THRESHOLDS}::TestPstCheckAtTime",),
     ),
     Mutant(
+        "horizon-positive",
+        "transfer.py",
+        "    if not 0 < t_max < math.inf:",
+        "    if not 0 <= t_max < math.inf:",
+        (f"{THRESHOLDS}::TestHorizon",),
+    ),
+    Mutant(
         "max-phase",
         "transfer.py",
         "_MAX_PHASE = 2.0**32",
