@@ -24,23 +24,26 @@ rows' right factor (with shorter rows if that table would pass
 _CHUNK_BYTES), and a block of amplitudes is one complex matrix product.  A
 grid point costs d/_ROW complex exponentials plus one row of that product
 instead of d exponentials.  The grid is streamed in chunks that start at
-_FIRST_CHUNK points and double up to _CHUNK_BYTES of temporaries, so a
-search that finds an early answer stops early: its cost follows the answer
-time, not t_max, and its memory does not grow with t_max or n.
+_FIRST_CHUNK points and double up to _CHUNK_BYTES of temporaries (every
+array a chunk allocates), so a search that finds an early answer stops
+early: its cost follows the answer time, not t_max, and its memory does not
+grow with t_max.  Besides its chunks, a search holds d x row tables: its
+grid's and its coefficient products.
 
 Everything but the coefficients is a function of the spectrum, so each
 SpectralDecomposition gets one peak grid, built at its first search and
 rebuilt when the bytes of its eigenvalues change: the centred lambda, the
 step and margin, the factors 1, -i lambda, -lambda^2 of the Newton polish,
-the inner table, and the row-start blocks of the chunks scanned so far,
-kept while all of it stays within _CHUNK_BYTES (later blocks are computed
-and dropped).  A search then builds only its pair's products: the inner
-table times the coefficients, one matrix product per chunk, and the polish.
-The fidelity scan, whose step is the caller's, and the periodicity walk
-each build a _Grid per call that keeps no blocks.  Times, horizons and scan
-ends must keep t * max|lambda| within _MAX_PHASE, and a horizon must be
-positive and finite (_check_horizon).  The Kronecker search walks its
-own grid of mod-2*pi phase distances, sharing only the chunks and _GRID_CAP.
+the inner table, and a fixed head table of the row starts of a search's
+first two chunks.  No search changes it; the row starts of later chunks
+are computed per search.  A search then builds only its pair's products:
+the inner table times the coefficients, one matrix product per chunk, and
+the polish.  The fidelity scan, whose step is the caller's, and the
+periodicity walk each build a _Grid per call with no head.  Times,
+horizons and scan ends must keep t * max|lambda| within _MAX_PHASE, and a
+horizon must be positive and finite (_check_horizon).  The Kronecker search
+walks its own grid of mod-2*pi phase distances, sharing only the chunks
+and _GRID_CAP.
 
 The scan's CSV is produced in the same chunks, as blocks whose formatting
 temporaries, _CSV_ROW_BYTES a row, stay within _CHUNK_BYTES; the command
@@ -78,7 +81,7 @@ from .linalg import (MonomialMatrix, SpectralDecomposition, check_tolerance, evo
 
 _ROW = 64  # grid points per directly computed row-start phase
 _FIRST_CHUNK = 1 << 10  # grid points in a search's first chunk
-_CHUNK_BYTES = 4 << 20  # cap on a chunk's largest temporary
+_CHUNK_BYTES = 4 << 20  # cap on all of a chunk's temporaries together
 _GRID_CAP = 200_000_000
 _REFINE_STEPS = 200
 _NEWTON_STEPS = 8  # Newton iterations before a polish falls back to golden section
@@ -167,8 +170,9 @@ def _grid_chunks(count: int, point_bytes: int, first: int = 0):
     """Yield (start, stop) index ranges covering range(first, count) in order.
 
     The first chunk holds _FIRST_CHUNK points and each next one twice as
-    many, up to the number of points whose temporaries (point_bytes each)
-    fit in _CHUNK_BYTES; chunk sizes stay multiples of _ROW.
+    many, up to the number of points whose temporaries fit in _CHUNK_BYTES
+    at point_bytes each, which must count every array a chunk allocates;
+    chunk sizes stay multiples of _ROW.
     """
     cap = max(_ROW, _CHUNK_BYTES // point_bytes // _ROW * _ROW)
     size = min(_FIRST_CHUNK, cap)
@@ -184,31 +188,30 @@ class _Grid:
     """The factorized phase kernel on the grid k * step; nothing else
     evaluates it.  It holds the spectrum lam, the row length (_ROW, or less
     when the d x row inner table would exceed _CHUNK_BYTES), the inner
-    table exp(-i r step lam) for 0 <= r < row, and point_bytes, the
-    temporary bytes per grid point of its amplitudes.  blocks is None here;
-    a grid that keeps its row-start phase blocks sets it to a dict by chunk
-    start, which grows while the grid's nbytes stays within _CHUNK_BYTES."""
+    table exp(-i r step lam) for 0 <= r < row, head, the row starts of the
+    first rows of the grid (none here), and point_bytes, all the temporary
+    bytes per grid point of its amplitudes and of the scans over them: 24
+    per row-start phase (the complex block and its float phases), d/row
+    phases rounded up, and 64 for the product row (16), its modulus (8), a
+    neighbour copy (8) and the masks."""
 
     def __init__(self, lam: np.ndarray, step: float):
         d = len(lam)
         self.lam, self.step = lam, step
         self.row = max(1, min(_ROW, _CHUNK_BYTES // (16 * d)))
         self.inner = np.exp(-1j * step * np.outer(lam, np.arange(self.row)))
-        self.point_bytes = 16 * -(-d // self.row)
-        self.blocks = None
+        self.point_bytes = 24 * -(-d // self.row) + 64
+        self.head = np.empty((0, d), complex)
 
     def row_starts(self, start: int, rows: int) -> np.ndarray:
-        """The (rows, d) block exp(-i k0 step lam), k0 = start + j*row."""
-        block = None if self.blocks is None else self.blocks.get(start)
-        if block is not None and len(block) >= rows:
-            return block[:rows]
+        """The (rows, d) block exp(-i k0 step lam), k0 = start + j*row: a
+        slice of head when head holds those rows, else computed."""
+        j, offset = divmod(start, self.row)
+        if offset == 0 and j + rows <= len(self.head):
+            return self.head[j : j + rows]
         ks = start + self.row * np.arange(rows)
-        block = np.exp(-1j * np.outer(ks * self.step, self.lam))
-        if self.blocks is not None and start not in self.blocks:
-            if self.nbytes + block.nbytes <= _CHUNK_BYTES:
-                self.blocks[start] = block
-                self.nbytes += block.nbytes
-        return block
+        block = -1j * np.outer(ks * self.step, self.lam)
+        return np.exp(block, out=block)
 
     def amplitudes(self, coeffs: np.ndarray):
         """amplitudes(start, stop), the (stop - start,) array |exp(-i k step
@@ -225,19 +228,19 @@ class _Grid:
 
 class _PeakGrid(_Grid):
     """The _Grid of _peak_search for a spectrum of nonzero width: lam centred
-    on its midpoint, step and margin from _pgst_grid, and the columns 1,
-    -i lam, -lam**2 whose products with the coefficients _newton_max takes.
-    It keeps its row-start blocks, and key holds the bytes of the
-    eigenvalues it was built from."""
+    on its midpoint, step and margin from _pgst_grid, the columns 1, -i lam,
+    -lam**2 whose products with the coefficients _newton_max takes, and as
+    head the row starts of a search's first two chunks (_FIRST_CHUNK points,
+    then twice that) and of its lookahead point.  key holds the bytes of the
+    eigenvalues it was built from.  No search changes it once it is built."""
 
     def __init__(self, eigenvalues: np.ndarray):
         lam = eigenvalues - 0.5 * (eigenvalues[0] + eigenvalues[-1])
         step, self.margin = _pgst_grid(lam)
         super().__init__(lam, step)
-        self.blocks = {}
         self.key = eigenvalues.tobytes()
         self.factors = np.stack([np.ones(len(lam)), -1j * lam, -(lam * lam)], axis=1)
-        self.nbytes = lam.nbytes + self.inner.nbytes + self.factors.nbytes
+        self.head = self.row_starts(0, 3 * _FIRST_CHUNK // self.row + 1)
 
 
 # the _PeakGrid of each live SpectralDecomposition, so that every search on
@@ -666,7 +669,8 @@ def kronecker_time_search(target: KroneckerTarget) -> KroneckerSolution | None:
         count = int(math.floor((target.t_max - target.t_min) / step)) + 1
         if count > _GRID_CAP:
             raise ValueError("time grid too large; shrink the horizon or raise epsilon")
-    for start, stop in _grid_chunks(count, 8 * len(freqs)):
+    # per point and frequency: five float temporaries and a mask
+    for start, stop in _grid_chunks(count, 48 * len(freqs)):
         ts = target.t_min + np.arange(start, stop) * step
         r = np.mod(np.outer(ts, freqs) - phases, _TWO_PI)
         dist = np.minimum(r, _TWO_PI - r)
@@ -707,7 +711,7 @@ def periodicity_search(
         grid = _spectrum_grid(sd)
         coeffs = np.full(sd.n, 1.0 / sd.n)
         step = _lipschitz_step(0.5 * float(grid.lam[-1] - grid.lam[0]))
-        walk = _Grid(grid.lam, step)  # its own step: a grid that keeps no blocks
+        walk = _Grid(grid.lam, step)  # its own step, so no head
         amplitudes = walk.amplitudes(coeffs)
         for start, stop in _grid_chunks(_grid_count(t_max, step), walk.point_bytes):
             below = np.flatnonzero(amplitudes(start, stop) < level)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -1000,21 +1001,19 @@ class TestSpectrumGrid:
         for t, (_, _, period) in zip(periods, cases * 4):
             assert t == period or abs(t - period) <= 1e-9
 
-    @pytest.mark.parametrize("scale", [1.0, 3.0], ids=["Q6", "Q6x3"])
-    def test_cached_blocks_within_chunk_budget(self, scale):
-        # a miss scans the whole 1e4 horizon; on Q6 x 3 its grid runs past
-        # the budget, so the later row-start blocks are computed and dropped
-        sd = _hypercube(6, scale)
+    def test_searches_leave_the_grid_unchanged(self):
+        # a miss scans the whole 1e4 horizon, far past the head of row
+        # starts; the rows past it are computed and nothing is kept
+        sd = _hypercube(6)
+        grid = transfer._spectrum_grid(sd)
+        names = ("lam", "inner", "factors", "head")
+        before = [getattr(grid, name).tobytes() for name in names]
         report = pgst_search(sd, 0, 1, 0.99, 1e4)
         assert report.kind is TransferKind.NOT_FOUND
-        grid = transfer._spectrum_grid(sd)
-        held = sum(block.nbytes for block in grid.blocks.values())
-        assert held + grid.lam.nbytes + grid.inner.nbytes + grid.factors.nbytes == grid.nbytes
-        assert 0 < grid.nbytes <= transfer._CHUNK_BYTES
-        count = math.ceil(1e4 / grid.step)
-        chunks = list(transfer._grid_chunks(count, grid.point_bytes))
-        assert (len(grid.blocks) < len(chunks)) == (scale > 1.0)
-        assert _answer(pgst_search(sd, 0, 1, 0.99, 1e4)) == _answer(report)
+        assert transfer._spectrum_grid(sd) is grid
+        assert [getattr(grid, name).tobytes() for name in names] == before
+        assert len(grid.head) == 3 * transfer._FIRST_CHUNK // grid.row + 1
+        assert _answer(report) == _answer(pgst_search(_fresh(sd), 0, 1, 0.99, 1e4))
 
     @pytest.mark.parametrize(
         "change", [lambda lam: lam.__imul__(2.0), lambda lam: lam.__iadd__(0.5)],
@@ -1033,6 +1032,52 @@ class TestSpectrumGrid:
         assert (grid.step, grid.margin) == (rebuilt.step, rebuilt.margin)
         assert grid.lam.tobytes() == rebuilt.lam.tobytes()
         assert grid.inner.tobytes() == rebuilt.inner.tobytes()
+
+
+def _peak_bytes(call):
+    """The peak bytes that call() allocates above what is allocated before it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkBudget:
+    # every streamed stage counts all the bytes a chunk allocates, so a long
+    # miss on C_11, whose chunks grow to the cap, peaks within _CHUNK_BYTES;
+    # each stage gets a fresh decomposition, so its tables are counted too
+    STAGES = {
+        "pgst": lambda sd: pgst_search(sd, 0, 1, 0.99999999, 6e4),
+        "periodicity": lambda sd: periodicity_search(sd, 6e4, 1e-12),
+        # each CSV text is dropped as it comes, as the command line writes it
+        "scan-csv": lambda sd: all(transfer._csv_texts(transfer._scan_blocks(sd, 0, 1, 1e4, 300_000))),
+        "kronecker": lambda sd: kronecker_time_search(
+            KroneckerTarget(sd.eigenvalues[1:] - sd.eigenvalues[0], np.ones(10), 1e-2, t_max=200.0)
+        ),
+    }
+
+    @pytest.mark.parametrize("stage", list(STAGES))
+    def test_c11_stage_within_chunk_bytes(self, stage):
+        sd = hermitian_eigendecomposition(construct_cp(11).adjacency)
+        assert _peak_bytes(lambda: self.STAGES[stage](sd)) <= transfer._CHUNK_BYTES
+
+    @pytest.mark.parametrize("stage, tables", [("pgst", 1), ("periodicity", 3)])
+    def test_wide_spectrum_chunks_within_chunk_bytes(self, stage, tables):
+        # d = 640 holds 10 row-start phases per grid point, which outweigh
+        # the 1-d temporaries; with the grid built, a search allocates its
+        # chunks plus one d x row table per coefficient product and per walk
+        # grid (pgst: p_in; periodicity: the walk's inner table, its p_in
+        # and the peak search's p_in).  The zero coefficients of 0 -> 1 and
+        # the aperiodic spectrum make both searches scan to t_max.
+        lam = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(640) / 640))
+        sd = SpectralDecomposition(lam, np.eye(640, dtype=complex))
+        call = {"pgst": lambda: pgst_search(sd, 0, 1, 0.5, 6000.0),
+                "periodicity": lambda: periodicity_search(sd, 6000.0, 1e-12)}[stage]
+        call()
+        grid = transfer._spectrum_grid(sd)
+        assert _peak_bytes(call) <= transfer._CHUNK_BYTES + tables * grid.inner.nbytes
 
 
 class TestKroneckerPhaseRange:

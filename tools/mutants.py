@@ -1,4 +1,5 @@
-"""One-line mutants of the verdict thresholds, each against the tests that must kill it.
+"""One-line mutants of the verdict thresholds and of the chunk byte count,
+each against the tests that must kill it.
 
     python tools/mutants.py
 
@@ -78,6 +79,20 @@ MUTANTS = [
         "    if not 0 < t_max < math.inf:",
         "    if not 0 <= t_max < math.inf:",
         (f"{THRESHOLDS}::TestHorizon",),
+    ),
+    Mutant(
+        "point-bytes-honest",
+        "transfer.py",
+        "self.point_bytes = 24 * -(-d // self.row) + 64",
+        "self.point_bytes = 24 * -(-d // self.row)",
+        ("tests/test_transfer.py::TestChunkBudget",),
+    ),
+    Mutant(
+        "point-bytes-phases",
+        "transfer.py",
+        "self.point_bytes = 24 * -(-d // self.row) + 64",
+        "self.point_bytes = 16 * -(-d // self.row) + 64",
+        ("tests/test_transfer.py::TestChunkBudget",),
     ),
     Mutant(
         "max-phase",
