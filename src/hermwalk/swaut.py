@@ -4,7 +4,10 @@ A monomial matrix (linalg.MonomialMatrix) is a permutation matrix times a
 unit-modulus diagonal.  The monomials commuting with an adjacency matrix form the switching
 automorphism group; modulo global phase that group is finite, and this
 module enumerates it and reports its structure (abelian, cyclic, order,
-fixed points).
+fixed points).  One placement walk along a BFS spanning tree checks the
+defining identity d_v A[v,x] = A[phi v, phi x] d_x entry by entry (fits)
+for both routes to the group: a search over all placements, and the
+candidate permutations read off a simple spectrum, each walked as a pin.
 """
 
 from __future__ import annotations
@@ -100,20 +103,6 @@ def _split_diagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a - np.diag(np.diag(a)), np.diag(a)
 
 
-def _verified(a_from: np.ndarray, a_phi: np.ndarray, phi: list[int], unit: list[complex], phase_tol: float):
-    """The monomial (phi, unit) when d_u a_from[u,v] == a_phi[u,v] d_v, with
-    a_phi = a_to[phi][:, phi], holds within phase_tol at every entry, else
-    None.  _spectral_search passes off-diagonal parts and matches diagonals
-    apart."""
-    d = np.array(unit)
-    lhs = d[:, None] * a_from
-    rhs = a_phi * d[None, :]
-    # written so that a NaN from an underflowed phase rejects as well
-    if not float(np.max(np.abs(lhs - rhs))) <= phase_tol:
-        return None
-    return MonomialMatrix(tuple(phi), d)
-
-
 def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, find_all: bool):
     """Backtracking search for monomials M with M @ a_from = a_to @ M.
 
@@ -127,13 +116,27 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, find_all: bool):
     placement is kept only if it agrees with every vertex already placed in
     zero pattern, magnitude and phase, so fits compares every entry of the
     defining identity as vertices are placed and a complete map needs no
-    further check.  Nothing is searched unless the rows of the two matrices
-    pair up one to one.
+    further check.  For two different matrices nothing is searched unless
+    their rows pair up one to one; a matrix's rows always pair with
+    themselves.
     Magnitudes and phases are compared within _WEIGHT_TOL of the largest
     off-diagonal |A_uv| of the two matrices, and a vertex only goes
     to a target whose diagonal entry is within _WEIGHT_TOL of max|A_uv|.
     Deterministic: targets are tried in ascending order.  More than
     _PLACEMENT_BUDGET placements raise SearchBudgetExhausted.
+    """
+    return _placement_walk(a_from, a_to, _spanning_tree_order(a_from), find_all)
+
+
+def _placement_walk(a_from: np.ndarray, a_to: np.ndarray, tree: list[tuple[int, int]], find_all: bool, pins=None):
+    """The walk of _monomial_search along tree, a_from's BFS spanning tree.
+
+    With pins, a list of permutations, it walks once per pin and places
+    each vertex v only at pin[v], and only along an edge of a_to from its
+    tree parent's image; each pin gives the one monomial with that
+    permutation, if it passes fits, so both routes of
+    enumerate_switching_automorphisms share one check.  Pinned placements
+    count against _PLACEMENT_BUDGET too: at most n per pin.
     """
     n = a_from.shape[0]
     (off_f, diag_f), (off_t, diag_t) = map(_split_diagonal, (a_from, a_to))
@@ -144,9 +147,8 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, find_all: bool):
         np.abs(mags_f[:, None] - mags_t) <= mag_tol, axis=2
     )
     alike = alike.tolist()
-    if not _has_perfect_matching(alike):
+    if a_from is not a_to and not _has_perfect_matching(alike):
         return []
-    tree = _spanning_tree_order(a_from)
     order = [0] + [v for _, v in tree]
     parent = {v: u for u, v in tree}
     # plain lists: numpy calls on rows this short cost more than the arithmetic
@@ -165,18 +167,24 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, find_all: bool):
             f, t = row_v[x], row_w[phi[x]]
             if (f == 0) != (t == 0):
                 return False
-            if f != 0 and (abs(abs(f) - abs(t)) > mag_tol or abs(dv * f - t * unit[x]) > phase_tol):
+            # written so that a NaN from an underflowed phase rejects as well
+            if f != 0 and (abs(abs(f) - abs(t)) > mag_tol or not abs(dv * f - t * unit[x]) <= phase_tol):
                 return False
         return True
 
-    def backtrack(depth: int) -> bool:
+    def backtrack(depth: int, pin) -> bool:
         nonlocal placements
         if depth == n:
             results.append(MonomialMatrix(tuple(phi), np.array(unit)))
             return not find_all
         v = order[depth]
         u = parent.get(v)
-        for w in range(n) if u is None else nbrs_to[phi[u]]:
+        if pin is None:
+            targets = range(n) if u is None else nbrs_to[phi[u]]
+        else:
+            # only along an edge of a_to, since _tree_phase divides by its weight
+            targets = [pin[v]] if u is None or rows_to[phi[u]][pin[v]] != 0 else []
+        for w in targets:
             if used[w] or not alike[v][w]:
                 continue
             if u is not None:
@@ -188,13 +196,15 @@ def _monomial_search(a_from: np.ndarray, a_to: np.ndarray, find_all: bool):
                 raise SearchBudgetExhausted(f"search budget of {_PLACEMENT_BUDGET} placements exhausted")
             phi[v] = w
             used[w] = True
-            if backtrack(depth + 1):
+            if backtrack(depth + 1, pin):
                 return True
             phi[v] = -1
             used[w] = False
         return False
 
-    backtrack(0)
+    for pin in [None] if pins is None else pins:
+        if backtrack(0, pin):
+            break
     return results
 
 
@@ -207,12 +217,15 @@ def _spectral_search(adj: np.ndarray, sd: SpectralDecomposition, tree: list[tupl
     conj(U_vk).  So for an anchor row v with no zero entry, the candidate
     M_w = U diag(conj U[w,:] / conj U[v,:]) U^H (d = 1) is the only
     monomial, up to phase, that can send v to w: n candidates, no search.
-    Each candidate's permutation is read off its column argmax; its phases
-    come from the same tree propagation as the backtracking search and it
-    must pass the same checks.  The argmax is safe while the entry error of
-    M_w, roughly n^1.5 eps max|lambda| / (gap min|U_vk|), stays below 1/2;
-    the preconditions gap > 1e-6 max|lambda| and min|U_vk| > 1e-3 keep it
-    below 1e-5 for n <= 12.
+    Each candidate's permutation is read off its column argmax and handed
+    to the placement walk as a pin, so its phases come from the same tree
+    propagation as the backtracking search and it passes the same fits.
+    The argmax is safe while the entry error of M_w, roughly n^1.5 eps
+    max|lambda| / (gap min|U_vk|), stays below 1/2; the preconditions
+    gap > 1e-6 max|lambda| and min|U_vk| > 1e-3 keep it below 1e-5 for
+    n <= 12.  The n pins cost at most n**2 placements, 144 at n = 12, so
+    _PLACEMENT_BUDGET binds only from n of about 387, where the n x n x n
+    complex candidates take 16 n**3 bytes, about 0.9 GB.
     """
     lam, u = sd.eigenvalues, sd.eigenvectors
     n = len(lam)
@@ -225,27 +238,7 @@ def _spectral_search(adj: np.ndarray, sd: SpectralDecomposition, tree: list[tupl
     theta = u.conj() / u[v].conj()  # row w: the eigenvalues of M_w
     candidates = (u * theta[:, None, :]) @ u.conj().T  # candidates[w] = M_w
     perms = np.argmax(np.abs(candidates), axis=1)
-    off, diag = _split_diagonal(adj)
-    mapped = off[perms[:, :, None], perms[:, None, :]]  # mapped[w] = off[phi_w][:, phi_w]
-    # what the search tests before placing, on the same scales: the diagonal
-    # entries, and the off-diagonal zero pattern and magnitudes
-    mag_tol = phase_tol = relative_tol(_WEIGHT_TOL, off)
-    placeable = ~np.any((off == 0) != (mapped == 0), axis=(1, 2)) & (
-        np.max(np.abs(np.abs(off) - np.abs(mapped)), axis=(1, 2)) <= mag_tol
-    ) & (np.max(np.abs(diag[perms] - diag), axis=1) <= relative_tol(_WEIGHT_TOL, adj))
-    rows = off.tolist()
-    results = []
-    for phi, a_phi, ok in zip(perms.tolist(), mapped, placeable.tolist()):
-        if not ok or len(set(phi)) < n:
-            continue
-        raw = [np.complex128(1.0)] * n
-        unit = [1.0 + 0j] * n
-        for p, c in tree:
-            raw[c], unit[c] = _tree_phase(raw[p], rows[p][c], rows[phi[p]][phi[c]])
-        m = _verified(off, a_phi, phi, unit, phase_tol)
-        if m is not None:
-            results.append(m)
-    return results
+    return _placement_walk(adj, adj, tree, True, perms.tolist())
 
 
 def enumerate_switching_automorphisms(g, *, sd: SpectralDecomposition | None = None) -> SwitchingGroup:
@@ -258,11 +251,16 @@ def enumerate_switching_automorphisms(g, *, sd: SpectralDecomposition | None = N
     scaling A nor shifting it to A + cI changes the group.
 
     With a simple spectrum and an eigenbasis row free of small entries the
-    group is read off the eigenbasis (see _spectral_search); otherwise a
-    backtracking search over vertex placements finds it, and raises
-    SearchBudgetExhausted after _PLACEMENT_BUDGET placements.  A caller
-    that holds the eigendecomposition of g's adjacency passes it as sd; the
-    group is the same.
+    candidate permutations are read off the eigenbasis (see
+    _spectral_search) and the placement walk only checks them; otherwise
+    the walk searches all vertex placements.  Either way every element
+    passes the walk's one check of d_v A[v,x] = A[phi v, phi x] d_x (fits),
+    and more than _PLACEMENT_BUDGET placements raise
+    SearchBudgetExhausted.  A caller that holds the eigendecomposition of
+    g's adjacency passes it as sd; the group is the same.  The flags come
+    cyclic first: a group with an element of its own order is cyclic, so
+    abelian, and only a group without one gets the pairwise commutation
+    check.
     """
     adj = np.asarray(g.adjacency, dtype=complex)
     n = adj.shape[0]
@@ -280,15 +278,13 @@ def enumerate_switching_automorphisms(g, *, sd: SpectralDecomposition | None = N
     # with one permutation differ by a diagonal commuting with adj, which is a
     # global phase.  So the structure is read off the permutations alone.
     perms = [e.perm for e in elements]
-    is_abelian = all(
+    generator_index = next((i for i, p in enumerate(perms) if _perm_order(p) == order), None)
+    # a cyclic group is abelian, so only a group without a generator needs the pairwise check
+    is_abelian = generator_index is not None or all(
         tuple(p[x] for x in q) == tuple(q[x] for x in p)
         for i, p in enumerate(perms)
         for q in perms[i + 1 :]
     )
-    # a cyclic group is abelian, so only an abelian group needs a generator
-    generator_index = None
-    if is_abelian:
-        generator_index = next((i for i, p in enumerate(perms) if _perm_order(p) == order), None)
     return SwitchingGroup(
         elements=elements,
         order=order,

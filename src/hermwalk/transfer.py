@@ -35,10 +35,10 @@ SpectralDecomposition gets one peak grid, built at its first search and
 rebuilt when the bytes of its eigenvalues change: the centred lambda, the
 step and margin, the factors 1, -i lambda, -lambda^2 of the Newton polish,
 the inner table, and a fixed head table of the row starts of a search's
-first two chunks.  No search changes it; the row starts of later chunks
-are computed per search.  A search then builds only its pair's products:
-the inner table times the coefficients, one matrix product per chunk, and
-the polish.  The fidelity scan, whose step is the caller's, and the
+first two chunks, at most _CHUNK_BYTES of them.  No search changes it; the
+row starts past the head are computed per search.  A search then builds
+only its pair's products: the inner table times the coefficients, one
+matrix product per chunk, and the polish.  The fidelity scan, whose step is the caller's, and the
 periodicity walk each build a _Grid per call with no head.  Times,
 horizons and scan ends must keep t * max|lambda| within _MAX_PHASE, and a
 horizon must be positive and finite (_check_horizon).  The Kronecker search
@@ -231,7 +231,9 @@ class _PeakGrid(_Grid):
     on its midpoint, step and margin from _pgst_grid, the columns 1, -i lam,
     -lam**2 whose products with the coefficients _newton_max takes, and as
     head the row starts of a search's first two chunks (_FIRST_CHUNK points,
-    then twice that) and of its lookahead point.  key holds the bytes of the
+    then twice that) and of its lookahead point, cut to the rows that fit in
+    _CHUNK_BYTES.  The cut binds only above d of about 5,349, where searches
+    compute their first row starts themselves.  key holds the bytes of the
     eigenvalues it was built from.  No search changes it once it is built."""
 
     def __init__(self, eigenvalues: np.ndarray):
@@ -240,7 +242,7 @@ class _PeakGrid(_Grid):
         super().__init__(lam, step)
         self.key = eigenvalues.tobytes()
         self.factors = np.stack([np.ones(len(lam)), -1j * lam, -(lam * lam)], axis=1)
-        self.head = self.row_starts(0, 3 * _FIRST_CHUNK // self.row + 1)
+        self.head = self.row_starts(0, min(3 * _FIRST_CHUNK // self.row + 1, _CHUNK_BYTES // (16 * len(lam))))
 
 
 # the _PeakGrid of each live SpectralDecomposition, so that every search on

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -490,6 +491,20 @@ class TestSpectralRoute:
         assert [m.perm for m in group.elements] == sorted(
             m.perm for m in swaut._monomial_search(adj, adj, find_all=True)
         )
+
+    def test_candidate_off_the_edges_is_refused_quietly(self):
+        # C_8 with weight 1 on edge 0-1 and 2 elsewhere: a simple spectrum, and
+        # a candidate that maps a tree edge onto a non-edge, where the tree
+        # phase would divide by zero
+        g = from_entries(8, [(k, (k + 1) % 8, 1 if k == 0 else 2, 0) for k in range(8)])
+        adj = np.asarray(g.adjacency, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert spectral_route(adj) is not None
+            group = enumerate_switching_automorphisms(g)
+            searched = sorted(m.perm for m in swaut._monomial_search(adj, adj, find_all=True))
+        assert [m.perm for m in group.elements] == searched
+        assert searched == [tuple(range(8)), (1, 0, 7, 6, 5, 4, 3, 2)]
 
     def test_p3_zero_entries_still_give_the_reflection(self):
         # the eigenvector of 0 vanishes at the middle vertex; an end vertex anchors

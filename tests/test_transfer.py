@@ -1015,6 +1015,14 @@ class TestSpectrumGrid:
         assert len(grid.head) == 3 * transfer._FIRST_CHUNK // grid.row + 1
         assert _answer(report) == _answer(pgst_search(_fresh(sd), 0, 1, 0.99, 1e4))
 
+    def test_head_stays_within_the_chunk_budget(self):
+        # at d = 8192 the rows are 32 long, so the uncut head would hold 97
+        # rows of d phases, 12.1 MiB
+        grid = transfer._PeakGrid(np.linspace(-1, 1, 8192))
+        assert grid.head.nbytes <= transfer._CHUNK_BYTES
+        computed = transfer._Grid(grid.lam, grid.step).row_starts(0, len(grid.head))
+        assert grid.head.tobytes() == computed.tobytes()
+
     @pytest.mark.parametrize(
         "change", [lambda lam: lam.__imul__(2.0), lambda lam: lam.__iadd__(0.5)],
         ids=["scale", "shift"],

@@ -1,5 +1,6 @@
-"""One-line mutants of the verdict thresholds and of the chunk byte count,
-each against the tests that must kill it.
+"""One-line mutants of the verdict thresholds, of the switching search's
+pin guard and of the chunk byte count, each against the tests that must
+kill it.
 
     python tools/mutants.py
 
@@ -123,11 +124,18 @@ MUTANTS = [
         (f"{THRESHOLDS}::TestLapackOutputChecks",),
     ),
     Mutant(
-        "swaut-verified-phase-tol",
+        "swaut-fits-phase-tol",
         "swaut.py",
-        "if not float(np.max(np.abs(lhs - rhs))) <= phase_tol:",
-        "if not float(np.max(np.abs(lhs - rhs))) <= 1e3 * phase_tol:",
+        "not abs(dv * f - t * unit[x]) <= phase_tol",
+        "not abs(dv * f - t * unit[x]) <= 1e3 * phase_tol",
         (f"{THRESHOLDS}::TestSpectralRoutePhaseCheck",),
+    ),
+    Mutant(
+        "swaut-pin-along-edge",
+        "swaut.py",
+        "if u is None or rows_to[phi[u]][pin[v]] != 0 else []",
+        "if True else []",
+        ("tests/test_swaut.py::TestSpectralRoute::test_candidate_off_the_edges_is_refused_quietly",),
     ),
     Mutant(
         "ratio-tol",
